@@ -16,6 +16,7 @@ from .discs import disc_through_two_points
 from .errors import (
     CollinearPoints,
     DegenerateSample,
+    DegreeOverflow,
     DiscTraceError,
     NotExtendible,
 )
@@ -54,6 +55,14 @@ def parse_point(text: str) -> Complex2:
         raise UsageError(f"cannot parse point {text!r}") from exc
 
 
+def parse_interior_point(text: str) -> Complex2:
+    """parse_point, rejecting points outside the open unit ball."""
+    p = parse_point(text)
+    if p.norm() >= 1.0:
+        raise UsageError(f"point {text!r} must be interior (|P| < 1)")
+    return p
+
+
 def format_point(p: Complex2) -> str:
     return f"{p.z1.real},{p.z1.imag};{p.z2.real},{p.z2.imag}"
 
@@ -74,7 +83,9 @@ def _load_function(path: str) -> HermitianPolynomial:
         return HermitianPolynomial.from_json_dict(doc)
     except FileNotFoundError as exc:
         raise UsageError(f"function file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (
+        json.JSONDecodeError, KeyError, TypeError, ValueError, DegreeOverflow
+    ) as exc:
         raise UsageError(f"malformed function file {path}: {exc}") from exc
 
 
@@ -89,7 +100,7 @@ def cmd_kernel(args) -> int:
         raise UsageError("--discs must be at least 1")
     if args.svd_tol <= 0:
         raise UsageError("--svd-tol must be positive")
-    points = [parse_point(t) for t in args.points]
+    points = [parse_interior_point(t) for t in args.points]
     try:
         report = kernel_experiment(
             *points,
@@ -118,7 +129,7 @@ def cmd_test(args) -> int:
     if args.discs < 1:
         raise UsageError("--discs must be at least 1")
     f = _load_function(args.function)
-    P = parse_point(args.point)
+    P = parse_interior_point(args.point)
     discs = sample_disc_family(P, args.discs, args.seed)
     all_pass = True
     print("disc_id,max_negative_modulus,verdict")
@@ -139,11 +150,11 @@ def cmd_lemmas(args) -> int:
 def cmd_extend(args) -> int:
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
+    if args.discs < 1:
+        raise UsageError("--discs must be at least 1")
     f = _load_function(args.function)
-    points = [parse_point(t) for t in args.points]
-    z = parse_point(args.at)
-    if z.norm() >= 1.0:
-        raise UsageError("evaluation point must be interior")
+    points = [parse_interior_point(t) for t in args.points]
+    z = parse_interior_point(args.at)
     # membership in the joint kernel at the function's own degree: f must
     # extend along every sampled disc through each of the three points
     for j, P in enumerate(points):
@@ -220,6 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

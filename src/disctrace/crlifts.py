@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import StraightDisc, disc_from_line, lift
+from .discs import (
+    LiftPoint,
+    StraightDisc,
+    disc_from_line,
+    disc_through_two_points,
+    lift,
+)
 from .errors import (
     BoundaryParameterOffCircle,
     ChartEvaluationFailure,
@@ -24,14 +30,14 @@ from .errors import (
     SingularAtCenter,
     SingularAtReflectedPole,
 )
-from .geometry import Complex2, hermitian_inner
+from .geometry import Complex2, cp1_distance
 
 Covector3 = np.ndarray  # shape (3,), complex; paired WITHOUT conjugation
 Vector3 = np.ndarray  # shape (3,), complex
 
 _POLE_EPS = 1e-14
 _FIBER_EPS = 1e-6
-_FD_STEP = 1e-5
+_FD_STEP = 1e-4
 
 
 def m0_defining_value(z1: complex, z2: complex, z3: complex) -> complex:
@@ -185,21 +191,20 @@ class FamilyChart:
         return c3
 
     def jacobian(self, w: complex, tau: complex) -> np.ndarray:
-        """6x4 real Jacobian of the chart by central differences: rows are
-        (Re, Im) of the C^3 coordinates, columns the real directions
-        Re w, Im w, Re tau, Im tau."""
-        h = _FD_STEP
-        cols = []
-        for dw, dtau in (
-            (h, 0.0),
-            (1j * h, 0.0),
-            (0.0, h),
-            (0.0, 1j * h),
-        ):
-            fp = _real6(self(w + dw, tau + dtau))
-            fm = _real6(self(w - dw, tau - dtau))
-            cols.append((fp - fm) / (2 * h))
-        return np.array(cols).T
+        """6x4 real Jacobian of the chart by Richardson-refined central
+        differences: rows are (Re, Im) of the C^3 coordinates, columns the
+        real directions Re w, Im w, Re tau, Im tau."""
+
+        def central(h):
+            cols = []
+            for dw, dtau in ((h, 0.0), (1j * h, 0.0), (0.0, h), (0.0, 1j * h)):
+                fp = _real6(self(w + dw, tau + dtau))
+                fm = _real6(self(w - dw, tau - dtau))
+                cols.append((fp - fm) / (2 * h))
+            return np.array(cols).T
+
+        a, b = central(_FD_STEP), central(_FD_STEP / 2)
+        return (4 * b - a) / 3
 
 
 def _real6(c3: np.ndarray) -> np.ndarray:
@@ -214,9 +219,6 @@ def transversality_rank(P1: Complex2, P2: Complex2, point) -> int:
     conormal, so the rank is 5 when the families meet transversally along
     that edge and 4 when they coincide.
     """
-    from .discs import LiftPoint, disc_through_two_points
-    from .geometry import cp1_distance
-
     assert isinstance(point, LiftPoint)
     z = point.z
     if abs(z.norm() - 1.0) > 1e-8:

@@ -16,10 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import CoincidentPoints, LineMissesBall, NoSolution, ZeroDirection
-from .geometry import PHASE_EPS, CP1Point, Complex2, _canonical_phase, hermitian_inner
+from .geometry import (
+    CP1Point,
+    Complex2,
+    _canonical_phase,
+    cp1_distance,
+    hermitian_inner,
+)
 
 _ORTHO_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
@@ -119,111 +124,28 @@ def lift(A: StraightDisc, tau: complex) -> LiftPoint:
     return LiftPoint(A.point(tau), CP1Point(zeta[0], zeta[1]))
 
 
-def _direction_chart(w: complex, chart: int) -> Complex2:
-    return Complex2(1.0, w) if chart == 0 else Complex2(w, 1.0)
-
-
-def _lift_residual(xy, z: Complex2, zeta: CP1Point, chart: int):
-    v = _direction_chart(complex(xy[0], xy[1]), chart)
-    try:
-        disc = disc_from_line(z, v)
-    except LineMissesBall:
-        return [10.0, 10.0]
-    tau0 = disc.parameter_of(z)
-    zv = lift(disc, tau0).zeta.as_array()
-    # projective cross product: zero iff the classes agree
-    cross = zv[0] * zeta.zeta2 - zv[1] * zeta.zeta1
-    return [cross.real, cross.imag]
-
-
-def _disc_from_lift_point_direct(z: Complex2, zeta: CP1Point):
-    """Semi-closed-form inversion of the lift.
-
-    Writing s = zeta . z (bilinear) and m for the squared norm of the
-    covector representative, the foot point is
-    a(m) = (z - m*s*conj(zeta)) / (1 - m|s|^2) and the disc direction is
-    conj(zeta) - conj(s)*a(m); the norm constraint |a|^2 + |b|^2 = 1 pins
-    m down to a bracketed real root.
-    """
-    from scipy.optimize import brentq
-
-    zv = z.as_array()
-    zc = zeta.as_array()
-    c = np.conj(zc)
-    s = complex(np.sum(zc * zv))
-
-    if abs(s) < 1e-14:
-        v = Complex2.from_array(c)
-        disc = disc_from_line(z, v)
-        return disc, disc.parameter_of(z)
-
-    def a_of(m: float) -> np.ndarray:
-        return (zv - m * s * c) / (1.0 - m * abs(s) ** 2)
-
-    def g(m: float) -> float:
-        a = a_of(m)
-        na2 = float(np.vdot(a, a).real)
-        return na2 + m * float(np.linalg.norm(c - np.conj(s) * a) ** 2) - 1.0
-
-    hi = (1.0 - 1e-12) / abs(s) ** 2
-    lo = 0.0
-    if g(lo) >= 0 or g(hi) <= 0:
-        raise NoSolution("norm equation has no bracketed root")
-    m = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    v = Complex2.from_array(c - np.conj(s) * a_of(m))
-    disc = disc_from_line(z, v)
-    return disc, disc.parameter_of(z)
-
-
 def disc_from_lift_point(z: Complex2, zeta: CP1Point, tol: float = 1e-10):
     """Invert the lift: the straight disc whose lift passes through
     (z, [zeta]), with the parameter at which it does.
 
-    Tries the bracketed-root inversion first and falls back to a
-    2-real-dimensional search over the direction chart restarted from a
-    coarse grid.  Raises NoSolution when neither converges below tol.
+    With c = conj(zeta) and s = zeta . z (bilinear), a lift point of the
+    disc a + tau*b has c proportional to conj(tau)*a + b and z = a + tau*b,
+    so c - conj(s)*z is proportional to (1 - |tau|^2)*b: the direction of
+    the disc through z.  It is nonzero for every interior z, so every
+    (z, [zeta]) with |z| < 1 is a lift point.  Raises NoSolution when the
+    lift of the recovered disc misses [zeta] by tol or more, and
+    LineMissesBall from disc_from_line when |z|^2 is within 1e-12 of 1.
     """
     if z.norm() >= 1.0:
         raise ValueError("base point must be interior")
-    from .geometry import cp1_distance  # local import avoids cycle at module load
-
-    try:
-        disc, tau0 = _disc_from_lift_point_direct(z, zeta)
-        if cp1_distance(lift(disc, tau0).zeta, zeta) < tol:
-            return disc, tau0
-    except (NoSolution, LineMissesBall):
-        pass
-
-    starts = []
-    grid = np.linspace(-2.0, 2.0, 16)
-    for chart in (0, 1):
-        vals = []
-        for x in grid:
-            for y in grid:
-                r = _lift_residual([x, y], z, zeta, chart)
-                vals.append((r[0] ** 2 + r[1] ** 2, x, y, chart))
-        vals.sort(key=lambda t: t[0])
-        starts.extend(vals[:4])
-
-    best = None
-    for _, x, y, chart in sorted(starts):
-        sol = least_squares(
-            _lift_residual, [x, y], args=(z, zeta, chart), xtol=1e-15, ftol=1e-15
+    zv, zc = z.as_array(), zeta.as_array()
+    s = complex(np.sum(zc * zv))
+    disc = disc_from_line(z, Complex2.from_array(np.conj(zc) - np.conj(s) * zv))
+    tau0 = disc.parameter_of(z)
+    err = cp1_distance(lift(disc, tau0).zeta, zeta)
+    if err >= tol:
+        raise NoSolution(
+            f"no disc through ({z.z1}, {z.z2}) lifting to the given class "
+            f"(residual {err:.3e})"
         )
-        v = _direction_chart(complex(sol.x[0], sol.x[1]), chart)
-        try:
-            disc = disc_from_line(z, v)
-        except LineMissesBall:
-            continue
-        tau0 = disc.parameter_of(z)
-        err = cp1_distance(lift(disc, tau0).zeta, zeta)
-        if best is None or err < best[0]:
-            best = (err, disc, tau0)
-        if err < tol:
-            return disc, tau0
-    if best is not None and best[0] < tol:
-        return best[1], best[2]
-    raise NoSolution(
-        f"no disc through ({z.z1}, {z.z2}) lifting to the given class "
-        f"(best residual {best[0]:.3e})" if best else "root search failed"
-    )
+    return disc, tau0

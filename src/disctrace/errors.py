@@ -24,7 +24,7 @@ class LineMissesBall(DiscTraceError):
 
 
 class NoSolution(DiscTraceError):
-    """Root search for the disc through a lift point did not converge."""
+    """The disc recovered from a lift point does not lift to its class."""
 
 
 # cr-lifts

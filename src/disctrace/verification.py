@@ -10,8 +10,6 @@ coincide with the holomorphic trace span.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +28,7 @@ from .discs import (
     disc_through_two_points,
     lift,
 )
-from .errors import CollinearPoints, DegenerateSample, NotExtendible
+from .errors import CollinearPoints, DegenerateSample
 from .geometry import (
     BallAutomorphism,
     CP1Point,
@@ -43,19 +41,6 @@ from .moments import extension_value, restrict_to_disc
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 DEFAULT_SVD_TOL = 1e-8
 SPECTRAL_GAP_MIN = 1e3
-
-
-def worker_count() -> int:
-    """Worker count for matrix assembly; DISCTRACE_THREADS overrides
-    (0 = auto)."""
-    raw = os.environ.get("DISCTRACE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
 
 
 def sample_disc_family(P: Complex2, n: int, seed: int) -> list[StraightDisc]:
@@ -87,12 +72,8 @@ class MomentMatrix:
     discs: list[StraightDisc]
     basis: list[tuple[int, int, int, int]]
 
-    def row_index(self) -> list[tuple[int, int]]:
-        return [(i, k) for i in range(len(self.discs)) for k in range(1, self.degree + 1)]
 
-
-def _disc_rows(args) -> np.ndarray:
-    disc, d, basis = args
+def _disc_rows(disc: StraightDisc, d: int, basis) -> np.ndarray:
     rows = np.zeros((d, len(basis)), dtype=complex)
     for j, idx in enumerate(basis):
         mono = HermitianPolynomial({idx: 1.0})
@@ -108,13 +89,7 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     if d < 1:
         raise ValueError("degree must be at least 1")
     basis = reduced_basis(d)
-    args = [(disc, d, basis) for disc in discs]
-    nw = worker_count()
-    if nw > 1 and len(discs) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            blocks = list(pool.map(_disc_rows, args))
-    else:
-        blocks = [_disc_rows(a) for a in args]
+    blocks = [_disc_rows(disc, d, basis) for disc in discs]
     return MomentMatrix(np.vstack(blocks), d, list(discs), basis)
 
 
@@ -203,8 +178,9 @@ def _nullspace_report(
     norms = np.linalg.norm(M, axis=1)
     nz = norms > 0
     M[nz] = M[nz] / norms[nz, None]
-    ncols = M.shape[1]
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    nrows, ncols = M.shape
+    # the thin Vh lacks kernel rows only when there are fewer rows than columns
+    _, s, Vh = np.linalg.svd(M, full_matrices=nrows < ncols)
     svals = np.zeros(ncols)
     svals[: len(s)] = s
     rank = int(np.sum(svals > svd_tol * svals[0])) if svals[0] > 0 else 0
@@ -472,7 +448,6 @@ def _mixed_wirtinger(u, z: np.ndarray, i: int, j: int, h: float = 1e-3) -> compl
 
     def second(step):
         def d2(ei, ej):
-            zp = z.copy()
             # central mixed second difference in real directions ei, ej
             def at(si, sj):
                 w = z + si * step * ei + sj * step * ej

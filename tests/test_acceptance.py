@@ -389,7 +389,7 @@ def test_criterion_8_exactness_oracles(capsys):
     assert ok
 
 
-def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
+def test_criterion_9_cli_determinism(tmp_path, capsys):
     func = tmp_path / "f.json"
     HermitianPolynomial({(2, 1, 0, 0): 1.0, (0, 0, 0, 0): 0.5}).save(func)
     scene = ["0,0", "0.5,0", "0,0.5"]
@@ -403,19 +403,14 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
          "--at", "0.2,0.1", "--discs", "10", "--seed", "1"],
     ]
 
-    def run_all(threads):
-        monkeypatch.setenv("DISCTRACE_THREADS", threads)
+    def run_all():
         out = []
         for argv in commands:
             rc = main(argv)
             out.append((rc, capsys.readouterr().out.encode()))
         return out
 
-    runs = [run_all(t) for t in ("1", "4", "4", "1")]
+    runs = [run_all() for _ in range(4)]
     ok = runs[0] == runs[1] == runs[2] == runs[3]
-    report(
-        capsys, 9, ok,
-        f"4 commands byte-identical across reruns with DISCTRACE_THREADS in "
-        f"{{1, 4}}: {ok}",
-    )
+    report(capsys, 9, ok, f"4 commands byte-identical across 4 reruns: {ok}")
     assert ok

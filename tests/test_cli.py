@@ -149,8 +149,7 @@ class TestExtendCommand:
 
 
 class TestDeterminism:
-    def run_all(self, capsys, tmp_path, monkeypatch, threads, holo):
-        monkeypatch.setenv("DISCTRACE_THREADS", threads)
+    def run_all(self, capsys, holo):
         outputs = []
         for argv in (
             ["kernel", "--points", *SCENE, "--degree", "2", "--discs", "15",
@@ -165,10 +164,67 @@ class TestDeterminism:
             outputs.append((rc, captured.out))
         return outputs
 
-    def test_byte_identical_across_threads(self, capsys, tmp_path, monkeypatch,
-                                           holomorphic_file):
-        runs = [
-            self.run_all(capsys, tmp_path, monkeypatch, t, holomorphic_file)
-            for t in ("1", "4", "1")
-        ]
+    def test_byte_identical_across_reruns(self, capsys, holomorphic_file):
+        runs = [self.run_all(capsys, holomorphic_file) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestUsageErrors:
+    """Bad input exits with code 2 and one `error:` line, never a traceback."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["kernel", "test", "lemmas", "extend"])
+    def test_negative_seed(self, command, holomorphic_file, capsys):
+        argv = {
+            "kernel": ["kernel", "--points", *SCENE, "--degree", "2",
+                       "--discs", "10"],
+            "test": ["test", "--function", holomorphic_file, "--point",
+                     "0.3,0.2", "--discs", "4"],
+            "lemmas": ["lemmas"],
+            "extend": ["extend", "--function", holomorphic_file, "--points",
+                       *SCENE, "--at", "0.2,0.1", "--discs", "4"],
+        }[command]
+        self.assert_usage_error([*argv, "--seed", "-1"], capsys)
+
+    @pytest.mark.parametrize("bad", ["1,0", "0.8,0.6", "2,0"])
+    def test_kernel_exterior_point(self, bad, capsys):
+        self.assert_usage_error(
+            ["kernel", "--points", bad, "0.5,0", "0,0.5", "--degree", "2",
+             "--discs", "10"], capsys,
+        )
+
+    @pytest.mark.parametrize("bad", ["1,0", "2,0"])
+    def test_extend_exterior_point(self, bad, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", "0,0", bad,
+             "0,0.5", "--at", "0.2,0.1", "--discs", "4"], capsys,
+        )
+
+    @pytest.mark.parametrize("bad", ["1,0", "2,0"])
+    def test_test_exterior_point(self, bad, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["test", "--function", holomorphic_file, "--point", bad,
+             "--discs", "4"], capsys,
+        )
+
+    def test_extend_zero_discs(self, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", *SCENE,
+             "--at", "0.2,0.1", "--discs", "0"], capsys,
+        )
+
+    def test_function_above_degree_cap(self, tmp_path, capsys):
+        path = tmp_path / "deg13.json"
+        path.write_text(json.dumps(
+            {"terms": [{"alpha": [13, 0], "beta": [0, 0], "re": 1.0, "im": 0.0}]}
+        ))
+        self.assert_usage_error(
+            ["test", "--function", str(path), "--point", "0.3,0.2",
+             "--discs", "4"], capsys,
+        )

@@ -205,6 +205,24 @@ class TestTransversality:
             ranks.add(transversality_rank(P1, P2, point))
         assert ranks == {5}
 
+    def test_pinned_scene_rank_is_five(self):
+        # truncation error of unrefined central differences puts
+        # sigma_6 / sigma_0 above the 1e-8 cutoff at this scene
+        P1 = Complex2(
+            0.07149613023570933 + 0.22998241713474166j,
+            -0.4606490635264341 + 0.22488009018810706j,
+        )
+        P2 = Complex2(
+            0.36091475925583616 + 0.0016942311864932558j,
+            0.12322534912268823 - 0.07333374107601132j,
+        )
+        z = Complex2(
+            0.36542433999933344 - 0.0037564101888834522j,
+            -0.9291929729515873 + 0.05523911780554669j,
+        )
+        disc, _, tau_z = disc_through_two_points(P1, z)
+        assert transversality_rank(P1, P2, lift(disc, tau_z)) == 5
+
     def test_identical_families_rank_four(self):
         P = Complex2(0.5, 0.0)
         point = lift(disc_from_line(P, Complex2(1.0, 0.0)), 1.0)

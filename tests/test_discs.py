@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import disctrace
 from disctrace.discs import (
     LiftPoint,
     StraightDisc,
@@ -179,6 +184,33 @@ class TestDiscFromLiftPoint:
         assert np.allclose(rec.b.as_array(), disc.b.as_array(), atol=1e-12)
         assert tau_rec == pytest.approx(0.3 + 0.2j, abs=1e-12)
 
+    def test_arbitrary_point_and_class(self):
+        # every (z, [zeta]) with |z| < 1 is a lift point, including pairs
+        # not built as lifts
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            z = random_interior(rng, rmax=0.99)
+            zeta = CP1Point(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            disc, tau0 = disc_from_lift_point(z, zeta)
+            assert np.allclose(
+                disc.point(tau0).as_array(), z.as_array(), rtol=0, atol=1e-12
+            )
+            assert cp1_distance(lift(disc, tau0).zeta, zeta) < 1e-12
+
     def test_rejects_boundary_base(self):
         with pytest.raises(ValueError):
             disc_from_lift_point(Complex2(1.0, 0.0), CP1Point(1.0, 0.0))
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(disctrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, disctrace, disctrace.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

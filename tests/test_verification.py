@@ -15,7 +15,6 @@ from disctrace.verification import (
     predicted_one_point_kernel,
     sample_disc_family,
     two_point_probe,
-    worker_count,
 )
 
 P1 = Complex2(0.0, 0.0)
@@ -73,16 +72,6 @@ class TestMomentMatrix:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             build_moment_matrix(0, sample_disc_family(P2, 2, seed=0))
-
-    def test_thread_count_invariance(self, monkeypatch):
-        discs = sample_disc_family(P2, 6, seed=3)
-        monkeypatch.setenv("DISCTRACE_THREADS", "1")
-        assert worker_count() == 1
-        M1 = build_moment_matrix(3, discs).matrix
-        monkeypatch.setenv("DISCTRACE_THREADS", "4")
-        assert worker_count() == 4
-        M4 = build_moment_matrix(3, discs).matrix
-        assert np.array_equal(M1, M4)
 
 
 class TestKernelExperiment:
