@@ -191,13 +191,17 @@ def sphere_inner_product(f: HermitianPolynomial, g: HermitianPolynomial) -> comp
 
 def gram_matrix(basis: list[MultiIndexPair]) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = <b_j, b_i> of sphere monomials."""
-    n = len(basis)
-    G = np.zeros((n, n), dtype=complex)
-    for i, (a1, a2, b1, b2) in enumerate(basis):
-        for j, (c1, c2, d1, d2) in enumerate(basis):
-            # <b_j, b_i> = integral z^c zbar^d * conj(z^a zbar^b)
-            G[i, j] = _monomial_integral(c1 + b1, c2 + b2, d1 + a1, d2 + a2)
-    return G
+    e = np.array(basis, dtype=int).reshape(-1, 4)
+    # <b_j, b_i> = integral z^c zbar^d * conj(z^a zbar^b): nonzero iff
+    # c + b = d + a, with value p! q! / (p + q + 1)! at (p, q) = c + b
+    p = e[None, :, 0] + e[:, None, 2]
+    q = e[None, :, 1] + e[:, None, 3]
+    match = (p == e[None, :, 2] + e[:, None, 0]) & (q == e[None, :, 3] + e[:, None, 1])
+    top = int(max(p.max(initial=0), q.max(initial=0)))
+    table = np.array(
+        [[_monomial_integral(i, j, i, j) for j in range(top + 1)] for i in range(top + 1)]
+    )
+    return np.where(match, table[p, q], 0.0).astype(complex)
 
 
 def holomorphic_basis(d: int) -> list[MultiIndexPair]:
@@ -207,13 +211,18 @@ def holomorphic_basis(d: int) -> list[MultiIndexPair]:
 
 def holomorphic_defect(f: HermitianPolynomial) -> float:
     """L^2 distance from f to the span of holomorphic monomials of degree
-    up to deg f; zero iff f is a holomorphic polynomial trace."""
-    norm2 = sphere_inner_product(f, f).real
+    up to deg f; zero iff f is a holomorphic polynomial trace.
+
+    The projections are subtracted coefficient by coefficient and the norm
+    of the residual polynomial is taken exactly: sqrt(|f|^2 - sum |proj|^2)
+    cannot resolve a defect below sqrt(eps) * |f|.
+    """
+    residual = f
     for a1, a2, _, _ in holomorphic_basis(f.degree):
         mono = HermitianPolynomial.monomial((a1, a2), (0, 0))
-        proj = sphere_inner_product(f, mono)
-        norm2 -= abs(proj) ** 2 / _monomial_integral(a1, a2, a1, a2)
-    return float(np.sqrt(max(0.0, norm2)))
+        proj = sphere_inner_product(f, mono) / _monomial_integral(a1, a2, a1, a2)
+        residual = residual + (-proj) * mono
+    return float(np.sqrt(max(0.0, sphere_inner_product(residual, residual).real)))
 
 
 def hopf_quadrature_inner(

@@ -30,6 +30,9 @@ from .verification import (
 )
 
 MAX_DEGREE = 12
+# the kernel passes when its largest principal angle to the holomorphic
+# span is below this, whatever --svd-tol sets for the rank cutoff
+ANGLE_TOL = 1e-8
 
 
 class UsageError(Exception):
@@ -118,7 +121,7 @@ def cmd_kernel(args) -> int:
     passed = (
         report.kernel_dimension == report.expected_holomorphic_dimension
         and report.max_principal_angle is not None
-        and report.max_principal_angle < args.svd_tol
+        and report.max_principal_angle < ANGLE_TOL
     )
     return 0 if passed else 1
 

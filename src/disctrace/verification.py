@@ -36,7 +36,7 @@ from .geometry import (
     apply_automorphism,
     cp1_distance,
 )
-from .moments import extension_value, restrict_to_disc
+from .moments import extension_value
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 DEFAULT_SVD_TOL = 1e-8
@@ -73,24 +73,51 @@ class MomentMatrix:
     basis: list[tuple[int, int, int, int]]
 
 
-def _disc_rows(disc: StraightDisc, d: int, basis) -> np.ndarray:
-    rows = np.zeros((d, len(basis)), dtype=complex)
-    for j, idx in enumerate(basis):
-        mono = HermitianPolynomial({idx: 1.0})
-        laurent = restrict_to_disc(mono, disc)
-        for k in range(1, d + 1):
-            rows[k - 1, j] = laurent[-k]
-    return rows
+# working-set cap of one assembly block, in bytes of complex samples
+_BLOCK_BYTES = 4 << 20
 
 
 def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     """Moment matrix of all reduced monomials of degree <= d along the
-    given discs."""
+    given discs.
+
+    Each disc is sampled at the N = 2d + 2 roots of unity and one FFT along
+    tau gives the Laurent coefficients -1..-d of every non-holomorphic
+    monomial; the restriction has degrees in [-d, d], so the DFT is exact
+    (restrict_to_disc is the scalar oracle).  Holomorphic monomials have no
+    negative terms: their columns are exactly zero.  Discs are processed in
+    blocks of at most _BLOCK_BYTES of samples.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if not discs:
+        raise ValueError("need at least one disc")
     basis = reduced_basis(d)
-    blocks = [_disc_rows(disc, d, basis) for disc in discs]
-    return MomentMatrix(np.vstack(blocks), d, list(discs), basis)
+    e = np.array(basis)
+    nh = np.flatnonzero(e[:, 2] + e[:, 3] > 0)
+    e = e[nh]
+    a = np.array([disc.a.as_array() for disc in discs])
+    b = np.array([disc.b.as_array() for disc in discs])
+    N = 2 * d + 2
+    tau = np.exp(2j * np.pi * np.arange(N) / N)
+    exponents = np.arange(d + 1)
+    out = np.zeros((len(discs) * d, len(basis)), dtype=complex)
+    step = max(1, _BLOCK_BYTES // (16 * N * len(nh)))
+    for lo in range(0, len(discs), step):
+        hi = min(lo + step, len(discs))
+        z = a[lo:hi, None, :] + tau[None, :, None] * b[lo:hi, None, :]
+        zp = z[..., None] ** exponents  # (discs, N, 2, d + 1)
+        zc = zp.conj()
+        samples = zp[:, :, 0, e[:, 0]]
+        samples *= zp[:, :, 1, e[:, 1]]
+        samples *= zc[:, :, 0, e[:, 2]]
+        samples *= zc[:, :, 1, e[:, 3]]
+        coeffs = np.fft.fft(samples, axis=1)
+        # coefficient -k sits at index N - k, for k = 1..d
+        coeffs = coeffs[:, N - 1 : N - d - 1 : -1, :]
+        coeffs /= N
+        out[lo * d : hi * d, nh] = coeffs.reshape(-1, len(nh))
+    return MomentMatrix(out, d, list(discs), basis)
 
 
 @dataclass(frozen=True)
@@ -174,11 +201,14 @@ def _nullspace_report(
     config: dict,
     require_gap: bool = True,
 ) -> KernelReport:
-    M = matrix.matrix.copy()
+    M = matrix.matrix
     norms = np.linalg.norm(M, axis=1)
-    nz = norms > 0
-    M[nz] = M[nz] / norms[nz, None]
+    M = M / np.where(norms > 0, norms, 1.0)[:, None]
     nrows, ncols = M.shape
+    if nrows > ncols:
+        # R of M = QR has the singular values and right singular vectors of
+        # M, without a rows x cols U
+        M = np.linalg.qr(M, mode="r")
     # the thin Vh lacks kernel rows only when there are fewer rows than columns
     _, s, Vh = np.linalg.svd(M, full_matrices=nrows < ncols)
     svals = np.zeros(ncols)
@@ -416,8 +446,13 @@ def random_disc(rng) -> StraightDisc:
 
 
 def _lift_curve_samples(disc: StraightDisc, taus) -> tuple[np.ndarray, np.ndarray]:
-    base = np.array([disc.point(t).as_array() for t in taus])
-    zeta = np.array([lift(disc, t).zeta.as_array() for t in taus])
+    """Base points a + tau*b and unit representatives of the lift classes
+    [tau*conj(a) + conj(b)], as (len(taus), 2) arrays."""
+    a, b = disc.a.as_array(), disc.b.as_array()
+    taus = np.asarray(taus)[:, None]
+    base = a + taus * b
+    zeta = taus * np.conj(a) + np.conj(b)
+    zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
     return base, zeta
 
 

@@ -172,13 +172,14 @@ class TestGram:
         assert np.min(np.linalg.eigvalsh(G)) > 0
 
     def test_entries(self):
-        basis = reduced_basis(1)
+        # bit-identical to the exact inner product, entry by entry
+        basis = reduced_basis(3)
         G = gram_matrix(basis)
         for i, ki in enumerate(basis):
             fi = HermitianPolynomial({ki: 1.0})
             for j, kj in enumerate(basis):
                 fj = HermitianPolynomial({kj: 1.0})
-                assert G[i, j] == pytest.approx(sphere_inner_product(fj, fi))
+                assert G[i, j] == sphere_inner_product(fj, fi)
 
 
 class TestHolomorphicDefect:
@@ -195,3 +196,12 @@ class TestHolomorphicDefect:
         # |z2|^2 overlaps only the constant: defect sqrt(1/3 - 1/4)
         f = HermitianPolynomial.monomial((0, 1), (0, 1))
         assert holomorphic_defect(f) == pytest.approx(np.sqrt(1.0 / 12.0), abs=1e-12)
+
+    def test_holomorphic_at_roundoff(self):
+        # the residual norm resolves far below sqrt(eps) * |f|
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            f = HermitianPolynomial(
+                {k: complex(*rng.normal(size=2)) for k in holomorphic_basis(6)}
+            )
+            assert holomorphic_defect(f) <= 1e-14

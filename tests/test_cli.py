@@ -78,6 +78,14 @@ class TestKernelCommand:
     def test_bad_point(self):
         assert main(["kernel", "--points", "x", "0.5,0", "0,0.5"]) == 2
 
+    def test_angle_threshold_independent_of_svd_tol(self, capsys):
+        # a tight rank cutoff does not tighten the principal-angle test
+        rc = main(["kernel", "--points", *SCENE, "--degree", "8", "--discs", "30",
+                   "--seed", "7", "--svd-tol", "1e-12", "--json-only"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel_dimension"] == doc["holomorphic_dimension"] == 45
+        assert rc == 0
+
     def test_undersampled_fails(self, capsys):
         rc = main(["kernel", "--points", *SCENE, "--degree", "4",
                    "--discs", "2", "--seed", "0"])

@@ -5,6 +5,7 @@ from disctrace.boundary import HermitianPolynomial, holomorphic_basis, reduced_b
 from disctrace.discs import disc_from_line
 from disctrace.errors import CollinearPoints, DegenerateSample
 from disctrace.geometry import Complex2
+from disctrace import verification
 from disctrace.moments import restrict_to_disc
 from disctrace.verification import (
     build_moment_matrix,
@@ -63,15 +64,47 @@ class TestMomentMatrix:
             restrict_to_disc(mono, disc)[-k]
         )
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_every_entry_matches_exact_restriction(self, d):
+        n = 2 if d >= 10 else 4
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, n, seed=d + j))
+        M = build_moment_matrix(d, discs)
+        exact = np.zeros_like(M.matrix)
+        for j, idx in enumerate(M.basis):
+            mono = HermitianPolynomial({idx: 1.0})
+            for i, disc in enumerate(discs):
+                laurent = restrict_to_disc(mono, disc)
+                exact[i * d : (i + 1) * d, j] = [laurent[-k] for k in range(1, d + 1)]
+        assert np.max(np.abs(M.matrix - exact)) < 1e-12
+
     def test_holomorphic_columns_vanish(self):
         discs = sample_disc_family(P3, 8, seed=2)
         M = build_moment_matrix(4, discs)
         holo = [M.basis.index(k) for k in holomorphic_basis(4)]
-        assert np.max(np.abs(M.matrix[:, holo])) < 1e-12
+        assert np.all(M.matrix[:, holo] == 0.0)
+
+    def test_block_boundaries_do_not_matter(self):
+        d = 12
+        bytes_per_disc = 16 * (2 * d + 2) * (len(reduced_basis(d)) - len(holomorphic_basis(d)))
+        per_block = verification._BLOCK_BYTES // bytes_per_disc
+        discs = sample_disc_family(P2, 2 * per_block + 4, seed=3)
+        half = len(discs) // 2
+        whole = build_moment_matrix(d, discs).matrix
+        parts = np.vstack(
+            [build_moment_matrix(d, discs[:half]).matrix,
+             build_moment_matrix(d, discs[half:]).matrix]
+        )
+        assert np.max(np.abs(whole - parts)) < 1e-14
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             build_moment_matrix(0, sample_disc_family(P2, 2, seed=0))
+
+    def test_needs_a_disc(self):
+        with pytest.raises(ValueError):
+            build_moment_matrix(3, [])
 
 
 class TestKernelExperiment:
