@@ -97,12 +97,17 @@ def _check_degree(d: int) -> None:
         raise UsageError(f"degree must be in [0, {MAX_DEGREE}]")
 
 
+def _check_tolerance(flag: str, tol: float) -> None:
+    # the chained comparison is false for nan as well as for <= 0 and inf
+    if not 0.0 < tol < float("inf"):
+        raise UsageError(f"{flag} must be positive and finite")
+
+
 def cmd_kernel(args) -> int:
     _check_degree(args.degree)
     if args.discs < 1:
         raise UsageError("--discs must be at least 1")
-    if args.svd_tol <= 0:
-        raise UsageError("--svd-tol must be positive")
+    _check_tolerance("--svd-tol", args.svd_tol)
     points = [parse_interior_point(t) for t in args.points]
     try:
         report = kernel_experiment(
@@ -127,8 +132,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    _check_tolerance("--tol", args.tol)
     if args.discs < 1:
         raise UsageError("--discs must be at least 1")
     f = _load_function(args.function)
@@ -151,13 +155,14 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    _check_tolerance("--tol", args.tol)
     if args.discs < 1:
         raise UsageError("--discs must be at least 1")
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)
+    if z in points:
+        raise UsageError("--at must differ from each of --points")
     # membership in the joint kernel at the function's own degree: f must
     # extend along every sampled disc through each of the three points
     for j, P in enumerate(points):

@@ -6,21 +6,17 @@ z3 = zeta2/zeta1.  The union of the lifts of the discs through the origin
 is cut out by r = z3 - conj(z2)/conj(z1); its conormal along the lifted
 z1-axis disc is spanned by the two holomorphic covectors omega_1, omega_2,
 and by omega~_1, omega~_2 when the family center moves to (zeta0, 0).
+
+The union M_P of the lifts of the discs through an interior center P is the
+graph of z -> [conj c_P(z)] over the ball minus P, with c_P cubic in
+(z, conj z), so its tangent spaces are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .discs import (
-    LiftPoint,
-    StraightDisc,
-    disc_from_line,
-    disc_through_two_points,
-    lift,
-)
+from .discs import LiftPoint
 from .errors import (
     BoundaryParameterOffCircle,
     ChartEvaluationFailure,
@@ -30,14 +26,13 @@ from .errors import (
     SingularAtCenter,
     SingularAtReflectedPole,
 )
-from .geometry import Complex2, cp1_distance
+from .geometry import CP1Point, Complex2, cp1_distance
 
 Covector3 = np.ndarray  # shape (3,), complex; paired WITHOUT conjugation
 Vector3 = np.ndarray  # shape (3,), complex
 
 _POLE_EPS = 1e-14
 _FIBER_EPS = 1e-6
-_FD_STEP = 1e-4
 
 
 def m0_defining_value(z1: complex, z2: complex, z3: complex) -> complex:
@@ -61,18 +56,14 @@ def omega_basis(z1: complex, z2: complex):
 def omega_tilde_basis(z1: complex, zeta0: complex):
     """Conormal basis along the lifted axis disc for the family centered at
     (zeta0, 0); the singularity sits at zeta0 and its reflected pole at
-    1/conj(zeta0)."""
-    if abs(z1 - zeta0) <= _POLE_EPS:
+    1/conj(zeta0).  Broadcasts over an array z1 (shape (3, *z1.shape))."""
+    p, q = z1 - zeta0, 1.0 - z1 * np.conj(zeta0)
+    if np.any(np.abs(p) <= _POLE_EPS):
         raise SingularAtCenter("omega~ basis is singular at z1 = zeta0")
-    if abs(1.0 - z1 * np.conj(zeta0)) <= _POLE_EPS:
+    if np.any(np.abs(q) <= _POLE_EPS):
         raise SingularAtReflectedPole("omega~ basis is singular at the reflected pole")
-    w1 = np.array(
-        [0.0, -1.0 / (z1 - zeta0), 1.0 / (1.0 - z1 * np.conj(zeta0))], dtype=complex
-    )
-    w2 = np.array(
-        [0.0, 1.0 / (1j * (z1 - zeta0)), 1.0 / (1j * (1.0 - z1 * np.conj(zeta0)))],
-        dtype=complex,
-    )
+    w1 = np.array(np.broadcast_arrays(0.0, -1.0 / p, 1.0 / q), dtype=complex)
+    w2 = np.array(np.broadcast_arrays(0.0, 1.0 / (1j * p), 1.0 / (1j * q)), dtype=complex)
     return w1, w2
 
 
@@ -81,19 +72,24 @@ def pointing_direction(z2: complex, zeta: complex) -> Vector3:
     axis disc, of the lifted family through (0, z2):
 
         v = -(zeta, -z2, conj(z2)/conj(zeta)) / (1 + |z2|^2).
+
+    Broadcasts over an array zeta (shape (3, *zeta.shape)).
     """
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise BoundaryParameterOffCircle(f"|zeta| = {abs(zeta):.12f}")
+    r = np.ravel(np.abs(zeta))
+    k = np.argmax(np.abs(r - 1.0))
+    if abs(r[k] - 1.0) > 1e-12:
+        raise BoundaryParameterOffCircle(f"|zeta| = {r[k]:.12f}")
     if z2 == 0:
         raise ValueError("family center must be off the axis disc (z2 != 0)")
-    return -np.array([zeta, -z2, np.conj(z2) / np.conj(zeta)], dtype=complex) / (
-        1.0 + abs(z2) ** 2
-    )
+    v = np.broadcast_arrays(zeta, -z2, np.conj(z2) / np.conj(zeta))
+    return -np.array(v, dtype=complex) / (1.0 + abs(z2) ** 2)
 
 
-def contract(w: Covector3, v: Vector3) -> complex:
-    """Bilinear pairing sum(w_i * v_i), no conjugation."""
-    return complex(np.sum(np.asarray(w) * np.asarray(v)))
+def contract(w: Covector3, v: Vector3):
+    """Bilinear pairing sum(w_i * v_i), no conjugation, over the first axis:
+    a complex for single vectors, an array for stacks of them."""
+    s = np.sum(np.asarray(w) * np.asarray(v), axis=0)
+    return complex(s) if s.ndim == 0 else s
 
 
 def transported_direction(
@@ -124,13 +120,10 @@ def transported_direction(
 
 
 def _sweep_curve(z2: complex, zeta0: complex, n: int) -> np.ndarray:
-    pts = np.empty((n, 2))
-    for k in range(n):
-        zeta = np.exp(2j * np.pi * k / n)
-        w1, w2 = omega_tilde_basis(zeta, zeta0)
-        v = pointing_direction(z2, zeta)
-        pts[k] = (contract(w1, v).real, contract(w2, v).real)
-    return pts
+    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    w1, w2 = omega_tilde_basis(zeta, zeta0)
+    v = pointing_direction(z2, zeta)
+    return np.column_stack([contract(w1, v).real, contract(w2, v).real])
 
 
 def direction_sweep_winding(
@@ -154,61 +147,54 @@ def direction_sweep_winding(
     return int(np.round(total / (2 * np.pi)))
 
 
-@dataclass(frozen=True)
-class FamilyChart:
-    """Local chart of the union of lifts of the discs through a fixed
-    interior center: (direction chart w, disc parameter tau) -> C^3.
+# real directions e1, e2, i*e1, i*e2 of the base point, as rows
+_BASE_DIRECTIONS = np.array([[1, 0], [0, 1], [1j, 0], [0, 1j]])
 
-    Directions are v0 + w * v0_perp around the base direction v0.
-    Evaluations within 1e-6 of the singular fiber over the center are
-    rejected.
+
+def _family_cubic(P: Complex2, z: Complex2) -> tuple[np.ndarray, np.ndarray]:
+    """c_P(z) = <z - P, z> z + (1 - |z|^2)(z - P) and, as rows, its exact
+    derivatives along the real base directions e1, e2, i*e1, i*e2."""
+    zv = z.as_array()
+    d = zv - P.as_array()
+    if np.linalg.norm(d) < _FIBER_EPS:
+        raise ChartEvaluationFailure("evaluation on the singular fiber")
+    s = np.vdot(zv, d)  # <z - P, z>
+    r = 1.0 - np.vdot(zv, zv).real
+    U = _BASE_DIRECTIONS
+    ds = U @ np.conj(zv) + np.conj(U) @ d  # <u, z> + <z - P, u>
+    dr = -2.0 * (np.conj(U) @ zv).real  # -2 Re <z, u>
+    dc = ds[:, None] * zv + dr[:, None] * d + (s + r) * U
+    return s * zv + r * d, dc
+
+
+def family_class(P: Complex2, z: Complex2) -> CP1Point:
+    """Lift class [conj c_P(z)] at z of the straight disc through P and z.
+
+    On the disc a + tau*b, z - P = m*b gives c_P(z) = m|b|^2 (conj(tau) a + b):
+    the class of discs.lift, with no disc and no tau.  On the sphere it is
+    [conj z] for every P.  Raises ChartEvaluationFailure within 1e-6 of the
+    singular fiber z = P.
     """
-
-    center: Complex2
-    v0: Complex2
-
-    def _direction(self, w: complex) -> Complex2:
-        v0 = self.v0.as_array()
-        v0 = v0 / np.linalg.norm(v0)
-        perp = np.array([-np.conj(v0[1]), np.conj(v0[0])])
-        return Complex2.from_array(v0 + w * perp)
-
-    def disc(self, w: complex) -> StraightDisc:
-        return disc_from_line(self.center, self._direction(w))
-
-    def __call__(self, w: complex, tau: complex) -> np.ndarray:
-        try:
-            disc = self.disc(w)
-        except Exception as exc:  # line through an interior center always meets B^2
-            raise ChartEvaluationFailure(str(exc)) from exc
-        tau_c = disc.parameter_of(self.center)
-        if abs(tau - tau_c) < _FIBER_EPS:
-            raise ChartEvaluationFailure("evaluation on the singular fiber")
-        lp = lift(disc, tau)
-        c3 = lp.as_c3()
-        if not np.all(np.isfinite(c3)):
-            raise ChartEvaluationFailure("lift leaves the affine chart z1 != 0")
-        return c3
-
-    def jacobian(self, w: complex, tau: complex) -> np.ndarray:
-        """6x4 real Jacobian of the chart by Richardson-refined central
-        differences: rows are (Re, Im) of the C^3 coordinates, columns the
-        real directions Re w, Im w, Re tau, Im tau."""
-
-        def central(h):
-            cols = []
-            for dw, dtau in ((h, 0.0), (1j * h, 0.0), (0.0, h), (0.0, 1j * h)):
-                fp = _real6(self(w + dw, tau + dtau))
-                fm = _real6(self(w - dw, tau - dtau))
-                cols.append((fp - fm) / (2 * h))
-            return np.array(cols).T
-
-        a, b = central(_FD_STEP), central(_FD_STEP / 2)
-        return (4 * b - a) / 3
+    c, _ = _family_cubic(P, z)
+    return CP1Point(np.conj(c[0]), np.conj(c[1]))
 
 
-def _real6(c3: np.ndarray) -> np.ndarray:
-    return np.concatenate([c3.real, c3.imag])
+def family_tangent(P: Complex2, z: Complex2) -> np.ndarray:
+    """Exact 6x4 real tangent [I4; dZ_P] at z of the lifted family through
+    P, the graph of z3 = conj(c2/c1) over the ball minus P.
+
+    Rows are (Re z1, Re z2, Re z3, Im z1, Im z2, Im z3); columns the base
+    directions Re z1, Re z2, Im z1, Im z2.  Raises ChartEvaluationFailure
+    on the singular fiber and where c1 = 0, outside the affine chart.
+    """
+    c, dc = _family_cubic(P, z)
+    if abs(c[0]) <= _POLE_EPS * np.linalg.norm(c):
+        raise ChartEvaluationFailure("lift leaves the affine chart z1 != 0")
+    dz3 = np.conj((dc[:, 1] * c[0] - c[1] * dc[:, 0]) / c[0] ** 2)
+    T = np.zeros((6, 4))
+    T[[0, 1, 3, 4], [0, 1, 2, 3]] = 1.0
+    T[2], T[5] = dz3.real, dz3.imag
+    return T
 
 
 def transversality_rank(P1: Complex2, P2: Complex2, point) -> int:
@@ -223,12 +209,8 @@ def transversality_rank(P1: Complex2, P2: Complex2, point) -> int:
     z = point.z
     if abs(z.norm() - 1.0) > 1e-8:
         raise ChartEvaluationFailure("transversality is evaluated on the boundary")
-    jacs = []
-    for P in (P1, P2):
-        disc, _, tau_z = disc_through_two_points(P, z)
-        if cp1_distance(lift(disc, tau_z).zeta, point.zeta) > 1e-8:
-            raise ChartEvaluationFailure("lift point is not on this family boundary")
-        jacs.append(FamilyChart(P, disc.b).jacobian(0.0, tau_z))
-    stacked = np.hstack(jacs)
+    if cp1_distance(point.zeta, CP1Point(np.conj(z.z1), np.conj(z.z2))) > 1e-8:
+        raise ChartEvaluationFailure("lift point is not on the sphere conormal")
+    stacked = np.hstack([family_tangent(P, z) for P in (P1, P2)])
     s = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(s > 1e-8 * s[0]))

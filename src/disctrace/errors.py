@@ -53,7 +53,9 @@ class CurveThroughOrigin(DiscTraceError):
 
 
 class ChartEvaluationFailure(DiscTraceError):
-    """Family chart could not be evaluated at the requested point."""
+    """Lifted family could not be evaluated at the requested point: on the
+    singular fiber z = P, outside the affine chart z1 != 0, or at a lift
+    point that is not on the family."""
 
 
 # boundary functions

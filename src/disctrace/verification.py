@@ -456,6 +456,13 @@ def _lift_curve_samples(disc: StraightDisc, taus) -> tuple[np.ndarray, np.ndarra
     return base, zeta
 
 
+def _max_class_distance(zeta: np.ndarray, ref: np.ndarray) -> float:
+    """Largest cp1_distance between the unit rows of zeta and those of ref
+    (broadcast)."""
+    cross = zeta[:, 0] * ref[..., 1] - zeta[:, 1] * ref[..., 0]
+    return float(min(1.0, np.max(np.abs(cross))))
+
+
 def lift_pair_min_distance(
     d1: StraightDisc, d2: StraightDisc, P: Complex2, n_tau: int = 48
 ) -> float:
@@ -524,9 +531,9 @@ def lemma_suite(
     # discs: sphere attachment of the boundary circle
     worst = 0.0
     th = 2 * np.pi * np.arange(256) / 256
+    circle = np.exp(1j * th)
     for _ in range(min(samples, 100)):
-        disc = random_disc(rng)
-        pts = np.array([boundary_point(disc, t).as_array() for t in th])
+        pts, _ = _lift_curve_samples(random_disc(rng), circle)
         worst = max(worst, float(np.max(np.abs(np.sum(np.abs(pts) ** 2, axis=1) - 1))))
     add("disc_sphere_attachment", worst, 1e-12, "max | |A(e^it)|^2 - 1 |")
 
@@ -553,28 +560,20 @@ def lemma_suite(
 
     # lifts of discs through the origin are constant in tau
     worst = 0.0
-    taus = 0.9 * np.exp(1j * th[::8])
+    taus = 0.9 * circle[::8]
     for _ in range(samples):
-        b = random_direction(rng)
-        disc = disc_from_line(Complex2(0, 0), b)
-        ref = CP1Point(np.conj(disc.b.z1), np.conj(disc.b.z2))
-        for t in taus:
-            worst = max(worst, cp1_distance(lift(disc, t).zeta, ref))
+        disc = disc_from_line(Complex2(0, 0), random_direction(rng))
+        _, zeta = _lift_curve_samples(disc, taus)
+        ref = np.conj(disc.b.as_array())
+        worst = max(worst, _max_class_distance(zeta, ref / np.linalg.norm(ref)))
     add("lift_constant_through_origin", worst, 1e-12)
 
     # boundary lift equals the sphere conormal
     worst = 0.0
     for _ in range(samples):
-        disc = random_disc(rng)
-        for t in th[::8]:
-            z = boundary_point(disc, t)
-            worst = max(
-                worst,
-                cp1_distance(
-                    lift(disc, np.exp(1j * t)).zeta,
-                    CP1Point(np.conj(z.z1), np.conj(z.z2)),
-                ),
-            )
+        pts, zeta = _lift_curve_samples(random_disc(rng), circle[::8])
+        ref = np.conj(pts) / np.linalg.norm(pts, axis=1, keepdims=True)
+        worst = max(worst, _max_class_distance(zeta, ref))
     add("boundary_lift_is_conormal", worst, 1e-12)
 
     # lift injectivity: distinct discs through one point have disjoint lifts

@@ -6,7 +6,10 @@ rank exactly 5, and rank 4 when the two families coincide.  Each family is a
 real 4-manifold whose boundary lifts cover the whole 3-dimensional
 projectivized sphere-conormal edge, so both tangent spaces contain the edge
 tangent and their sum has dimension at most 4 + 4 - 3 = 5; rank 5 is
-transversality along the edge.
+transversality along the edge.  Each family is the graph of the closed lift
+class z -> [conj c_P(z)] over the ball, so its tangents are exact and the
+sixth singular value of the stacked tangents sits at roundoff (required at
+most 1e-12 of the largest).
 """
 
 import time
@@ -167,9 +170,9 @@ def edge_tangents(z: Complex2) -> list[np.ndarray]:
 
 def edge_tangent_residual(P: Complex2, point) -> float:
     """Worst relative least-squares residual of the edge tangents at the
-    boundary lift point against the chart Jacobian of the family through P."""
-    disc, _, tau_z = disc_through_two_points(P, point.z)
-    J = crlifts.FamilyChart(P, disc.b).jacobian(0.0, tau_z)
+    boundary lift point against the exact graph tangent of the family
+    through P."""
+    J = crlifts.family_tangent(P, point.z)
     worst = 0.0
     for t in edge_tangents(point.z):
         x, *_ = np.linalg.lstsq(J, t, rcond=None)
@@ -226,6 +229,7 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
     instance_err = float(np.max(np.abs(x - [2.0, 0.0])))
 
     ranks = []
+    sigma5, sigma6 = np.inf, 0.0
     edge_resid = None
     while len(ranks) < 100:
         Q1 = random_interior_point(rng, rmax=0.7)
@@ -239,6 +243,12 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
         if abs(point.zeta.zeta1) < 0.1:
             continue
         ranks.append(crlifts.transversality_rank(Q1, Q2, point))
+        s = np.linalg.svd(
+            np.hstack([crlifts.family_tangent(Q, point.z) for Q in (Q1, Q2)]),
+            compute_uv=False,
+        )
+        sigma5 = min(sigma5, s[4] / s[0])
+        sigma6 = max(sigma6, s[5] / s[0])
         if edge_resid is None:
             edge_resid = max(edge_tangent_residual(Q1, point),
                              edge_tangent_residual(Q2, point))
@@ -267,6 +277,7 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
         and coeff_imag < 1e-10
         and instance_err < 1e-10
         and rank_ok
+        and sigma6 <= 1e-12
         and edge_resid < 1e-6
         and winding_ok
         and lemmas_exit == 0
@@ -275,7 +286,8 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
         capsys, 5, ok,
         f"realness {realness:.1e}, identities {identity_err:.1e}, span solves "
         f"{span_resid:.1e}, instance {instance_err:.1e}, transversality ranks "
-        f"{sorted(set(ranks))} (required all 5), coincident rank "
+        f"{sorted(set(ranks))} (required all 5, sigma5/sigma0 >= "
+        f"{sigma5:.1e}, sigma6/sigma0 <= {sigma6:.1e}), coincident rank "
         f"{coincident_rank} (required 4), edge tangents in both spans to "
         f"{edge_resid:.1e}, windings nonzero {winding_ok}, lemmas exit "
         f"{lemmas_exit}",
@@ -288,6 +300,7 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
     assert lemmas_exit == 0
     assert edge_resid < 1e-6
     assert all(r == 5 for r in ranks), f"stacked ranks {sorted(set(ranks))}"
+    assert sigma6 <= 1e-12
     assert coincident_rank == 4
 
 

@@ -236,3 +236,31 @@ class TestUsageErrors:
             ["test", "--function", str(path), "--point", "0.3,0.2",
              "--discs", "4"], capsys,
         )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_kernel_bad_svd_tol(self, tol, capsys):
+        self.assert_usage_error(
+            ["kernel", "--points", *SCENE, "--degree", "2", "--discs", "10",
+             "--svd-tol", tol], capsys,
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_test_nonfinite_tol(self, tol, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["test", "--function", holomorphic_file, "--point", "0.3,0.2",
+             "--discs", "4", "--tol", tol], capsys,
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_extend_nonfinite_tol(self, tol, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", *SCENE,
+             "--at", "0.2,0.1", "--discs", "4", "--tol", tol], capsys,
+        )
+
+    @pytest.mark.parametrize("at", SCENE)
+    def test_extend_at_one_of_the_points(self, at, holomorphic_file, capsys):
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", *SCENE,
+             "--at", at, "--discs", "4"], capsys,
+        )

@@ -3,9 +3,10 @@ import pytest
 
 from disctrace import crlifts
 from disctrace.crlifts import (
-    FamilyChart,
     contract,
     direction_sweep_winding,
+    family_class,
+    family_tangent,
     m0_defining_value,
     omega_basis,
     omega_tilde_basis,
@@ -13,7 +14,7 @@ from disctrace.crlifts import (
     transported_direction,
     transversality_rank,
 )
-from disctrace.discs import disc_from_line, disc_through_two_points, lift
+from disctrace.discs import LiftPoint, disc_from_line, disc_through_two_points, lift
 from disctrace.errors import (
     BoundaryParameterOffCircle,
     ChartEvaluationFailure,
@@ -21,7 +22,8 @@ from disctrace.errors import (
     SingularAtCenter,
     SingularAtReflectedPole,
 )
-from disctrace.geometry import Complex2
+from disctrace.geometry import CP1Point, Complex2, cp1_distance
+from disctrace.verification import random_direction, random_interior_point
 
 
 class TestDefiningFunction:
@@ -163,21 +165,92 @@ class TestWinding:
             direction_sweep_winding(0.5, 0.5, 0.5 + 0j)
 
 
-class TestFamilyChart:
-    def test_matches_lift(self):
-        center = Complex2(0.2, 0.1j)
-        v0 = Complex2(1.0, 0.5)
-        chart = FamilyChart(center, v0)
-        disc = chart.disc(0.0)
-        tau = 0.7
-        assert np.allclose(chart(0.0, tau), lift(disc, tau).as_c3())
+class TestBroadcast:
+    """The sweep functions over an array of boundary parameters agree with
+    their scalar calls, and their guards hold for every element."""
+
+    def test_matches_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        zeta = np.exp(2j * np.pi * rng.uniform(size=64))
+        for _ in range(20):
+            z2 = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            zeta0 = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            v = pointing_direction(z2, zeta)
+            w = omega_tilde_basis(zeta, zeta0)
+            pairings = [contract(wi, v) for wi in w]
+            assert v.shape == w[0].shape == (3, 64)
+            for k, t in enumerate(zeta):
+                vk = pointing_direction(z2, t)
+                assert np.allclose(v[:, k], vk, rtol=1e-14, atol=0)
+                for wi, pi, wk in zip(w, pairings, omega_tilde_basis(t, zeta0)):
+                    assert np.allclose(wi[:, k], wk, rtol=1e-14, atol=0)
+                    assert abs(pi[k] - contract(wk, vk)) <= 1e-14 * abs(pi[k])
+
+    def test_guards_hold_for_every_element(self):
+        circle = np.exp(2j * np.pi * np.arange(8) / 8)
+        with pytest.raises(SingularAtCenter):
+            omega_tilde_basis(circle, circle[3])
+        with pytest.raises(SingularAtReflectedPole):
+            omega_tilde_basis(np.append(circle, 2.0), 0.5)
+        with pytest.raises(BoundaryParameterOffCircle, match="0.9"):
+            pointing_direction(0.5, np.append(circle, 0.9))
+
+
+class TestFamilyGraph:
+    def test_class_matches_lift(self):
+        rng = np.random.default_rng(6)
+        worst, count = 0.0, 0
+        while count < 2000:
+            P = random_interior_point(rng)
+            disc = disc_from_line(P, random_direction(rng))
+            tau = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            z = disc.point(tau)
+            if Complex2(z.z1 - P.z1, z.z2 - P.z2).norm() <= 1e-3:
+                continue
+            count += 1
+            worst = max(worst, cp1_distance(family_class(P, z), lift(disc, tau).zeta))
+        assert worst < 1e-12
+
+    def test_tangent_matches_central_differences(self):
+        # the finite-difference oracle lives here only: the package
+        # differentiates the closed formula exactly.  Scenes as in the lemma
+        # suite, alternately on the sphere and inside the ball.
+        rng = np.random.default_rng(7)
+        h = 1e-6
+        units = np.array([[1, 0], [0, 1], [1j, 0], [0, 1j]])
+        tested = 0
+        while tested < 200:
+            P = random_interior_point(rng, rmax=0.7)
+            disc = disc_from_line(P, random_direction(rng))
+            r = 1.0 if tested % 2 else np.sqrt(rng.uniform())
+            z = disc.point(r * np.exp(2j * np.pi * rng.uniform()))
+            if Complex2(z.z1 - P.z1, z.z2 - P.z2).norm() < 0.05:
+                continue
+            if abs(family_class(P, z).zeta1) < 0.1:
+                continue  # stay inside the affine chart
+            tested += 1
+            zv = z.as_array()
+
+            def z3(w):
+                return family_class(P, Complex2.from_array(w)).affine
+
+            fd = np.array([(z3(zv + h * u) - z3(zv - h * u)) / (2 * h) for u in units])
+            T = family_tangent(P, z)
+            dz3 = T[2] + 1j * T[5]
+            assert np.linalg.norm(fd - dz3) <= 1e-8 * np.linalg.norm(dz3)
+            assert np.array_equal(T[[0, 1, 3, 4]], np.eye(4))
 
     def test_rejects_singular_fiber(self):
-        center = Complex2(0.2, 0.0)
-        chart = FamilyChart(center, Complex2(1.0, 0.0))
-        tau_c = chart.disc(0.0).parameter_of(center)
+        P = Complex2(0.2, 0.1j)
         with pytest.raises(ChartEvaluationFailure):
-            chart(0.0, tau_c)
+            family_class(P, P)
+        with pytest.raises(ChartEvaluationFailure):
+            family_tangent(P, P)
+
+    def test_rejects_point_off_the_chart(self):
+        # on the sphere the class is [conj z], at infinity in z3 when z1 = 0
+        with pytest.raises(ChartEvaluationFailure):
+            family_tangent(Complex2(0.2, 0.1j), Complex2(0.0, 1.0))
 
 
 class TestTransversality:
@@ -206,8 +279,8 @@ class TestTransversality:
         assert ranks == {5}
 
     def test_pinned_scene_rank_is_five(self):
-        # truncation error of unrefined central differences puts
-        # sigma_6 / sigma_0 above the 1e-8 cutoff at this scene
+        # finite-difference tangents put sigma_6 / sigma_0 above the 1e-8
+        # cutoff at this scene (9.6e-8 with unrefined central differences)
         P1 = Complex2(
             0.07149613023570933 + 0.22998241713474166j,
             -0.4606490635264341 + 0.22488009018810706j,
@@ -233,3 +306,11 @@ class TestTransversality:
         point = lift(disc_from_line(P, Complex2(1.0, 0.0)), 0.5)
         with pytest.raises(ChartEvaluationFailure):
             transversality_rank(P, Complex2(0.0, 0.5), point)
+
+    def test_class_off_the_sphere_conormal_rejected(self):
+        # every family passes through [conj z] on the sphere; another class
+        # is on neither family
+        z = Complex2(0.6, 0.8j)
+        point = LiftPoint(z, CP1Point(1.0, 0.3))
+        with pytest.raises(ChartEvaluationFailure):
+            transversality_rank(Complex2(0.5, 0.0), Complex2(0.0, 0.5), point)
