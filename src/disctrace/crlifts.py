@@ -56,8 +56,15 @@ def omega_basis(z1: complex, z2: complex):
 def omega_tilde_basis(z1: complex, zeta0: complex):
     """Conormal basis along the lifted axis disc for the family centered at
     (zeta0, 0); the singularity sits at zeta0 and its reflected pole at
-    1/conj(zeta0).  Broadcasts over an array z1 (shape (3, *z1.shape))."""
-    p, q = z1 - zeta0, 1.0 - z1 * np.conj(zeta0)
+    1/conj(zeta0).  Broadcasts over arrays z1 and zeta0 (shape
+    (3, *broadcast shape))."""
+    # q = 1 - z1*conj(zeta0) in real arithmetic: numpy's SIMD complex
+    # multiply can fuse multiply-adds, which would give array calls other
+    # bits than scalar ones.  The ufunc keeps q a numpy value, so 1/q is
+    # numpy's division for Python scalars too.
+    x, y, s, t = np.real(z1), np.imag(z1), np.real(zeta0), np.imag(zeta0)
+    p = z1 - zeta0
+    q = np.subtract(1.0 - (x * s + y * t), 1j * (y * s - x * t))
     if np.any(np.abs(p) <= _POLE_EPS):
         raise SingularAtCenter("omega~ basis is singular at z1 = zeta0")
     if np.any(np.abs(q) <= _POLE_EPS):
@@ -73,16 +80,18 @@ def pointing_direction(z2: complex, zeta: complex) -> Vector3:
 
         v = -(zeta, -z2, conj(z2)/conj(zeta)) / (1 + |z2|^2).
 
-    Broadcasts over an array zeta (shape (3, *zeta.shape)).
+    Broadcasts over arrays zeta and z2 (shape (3, *broadcast shape)).
     """
     r = np.ravel(np.abs(zeta))
-    k = np.argmax(np.abs(r - 1.0))
-    if abs(r[k] - 1.0) > 1e-12:
-        raise BoundaryParameterOffCircle(f"|zeta| = {r[k]:.12f}")
-    if z2 == 0:
+    off = np.abs(r - 1.0) > 1e-12
+    if np.any(off):
+        raise BoundaryParameterOffCircle(f"|zeta| = {r[np.argmax(off)]:.12f}")
+    if np.any(z2 == 0):
         raise ValueError("family center must be off the axis disc (z2 != 0)")
     v = np.broadcast_arrays(zeta, -z2, np.conj(z2) / np.conj(zeta))
-    return -np.array(v, dtype=complex) / (1.0 + abs(z2) ** 2)
+    # hypot gives |z2| with the same bits for scalars and arrays; numpy's
+    # array abs of complex input can differ in the last bit
+    return -np.array(v, dtype=complex) / (1.0 + np.hypot(z2.real, z2.imag) ** 2)
 
 
 def contract(w: Covector3, v: Vector3):

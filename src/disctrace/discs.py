@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPoints, LineMissesBall, NoSolution, ZeroDirection
-from .geometry import (
-    CP1Point,
-    Complex2,
-    _canonical_phase,
-    cp1_distance,
-    hermitian_inner,
-)
+from .geometry import CP1Point, Complex2, _canonical_phase, hermitian_inner
 
 _ORTHO_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
@@ -142,7 +136,10 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point, tol: float = 1e-10):
     s = complex(np.sum(zc * zv))
     disc = disc_from_line(z, Complex2.from_array(np.conj(zc) - np.conj(s) * zv))
     tau0 = disc.parameter_of(z)
-    err = cp1_distance(lift(disc, tau0).zeta, zeta)
+    # cp1_distance, in its cross-product form, from the lift class
+    # [tau0*conj(a) + conj(b)] of the recovered disc to the unit zeta
+    w = tau0 * np.conj(disc.a.as_array()) + np.conj(disc.b.as_array())
+    err = min(1.0, float(abs(w[0] * zc[1] - w[1] * zc[0]) / np.linalg.norm(w)))
     if err >= tol:
         raise NoSolution(
             f"no disc through ({z.z1}, {z.z2}) lifting to the given class "

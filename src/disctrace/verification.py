@@ -463,12 +463,31 @@ def _max_class_distance(zeta: np.ndarray, ref: np.ndarray) -> float:
     return float(min(1.0, np.max(np.abs(cross))))
 
 
+def _lift_distance_features(
+    base: np.ndarray, zeta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real rows x, y (n x 10) of lift samples with base points b and unit
+    classes zeta such that x_i . y'_j = |b_i - b'_j|^2 + 1 - |<zeta_i, zeta'_j>|^2
+    for the rows y' of a second curve.  With u = zeta1*conj(zeta2),
+    |<zeta, zeta'>|^2 = |zeta1|^2 |zeta1'|^2 + |zeta2|^2 |zeta2'|^2 + 2 Re(u conj(u'))."""
+    u = zeta[:, 0] * np.conj(zeta[:, 1])
+    m = np.abs(zeta) ** 2
+    nb = np.sum(np.abs(base) ** 2, axis=1)
+    one = np.ones(len(base))
+    x = np.column_stack([base.real, base.imag, m, u.real, u.imag, nb, one])
+    y = np.column_stack(
+        [-2 * base.real, -2 * base.imag, -m, -2 * u.real, -2 * u.imag, one, nb + 1.0]
+    )
+    return x, y
+
+
 def lift_pair_min_distance(
     d1: StraightDisc, d2: StraightDisc, P: Complex2, n_tau: int = 48
 ) -> float:
-    """Minimum combined distance between the two lift curves over sampled
-    interior parameters, excluding base points within 1e-3 of the common
-    point P."""
+    """Minimum combined distance sqrt(|b - b'|^2 + 1 - |<zeta, zeta'>|^2)
+    between the two lift curves over sampled interior parameters, excluding
+    base points within 1e-3 of the common point P.  All pairs come from one
+    real matrix product of per-sample features."""
     rr = np.linspace(0.05, 0.95, 6)
     th = 2 * np.pi * np.arange(n_tau) / n_tau
     taus = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
@@ -477,11 +496,10 @@ def lift_pair_min_distance(
     Pv = P.as_array()
     keep1 = np.linalg.norm(b1 - Pv, axis=1) > 1e-3
     keep2 = np.linalg.norm(b2 - Pv, axis=1) > 1e-3
-    b1, z1, b2, z2 = b1[keep1], z1[keep1], b2[keep2], z2[keep2]
-    base_d2 = np.sum(np.abs(b1[:, None, :] - b2[None, :, :]) ** 2, axis=2)
-    ip = np.abs(z1 @ z2.conj().T) ** 2
-    fiber_d2 = np.clip(1.0 - ip, 0.0, None)
-    return float(np.sqrt(np.min(base_d2 + fiber_d2)))
+    x, _ = _lift_distance_features(b1[keep1], z1[keep1])
+    _, y = _lift_distance_features(b2[keep2], z2[keep2])
+    # the expansion cancels: roundoff can take the minimum below zero
+    return float(np.sqrt(max(0.0, np.min(x @ y.T))))
 
 
 def _mixed_wirtinger(u, z: np.ndarray, i: int, j: int, h: float = 1e-3) -> complex:
@@ -678,26 +696,23 @@ def lemma_suite(
 
     # contraction pairings are real on the circle and match the derived
     # closed forms
-    worst_im = 0.0
-    worst_id = 0.0
-    for _ in range(identity_samples):
-        z2 = (0.05 + 0.9 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        zeta = np.exp(2j * np.pi * rng.uniform())
-        zeta0 = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        if abs(zeta - zeta0) < 1e-3:
-            continue
-        v = crlifts.pointing_direction(z2, zeta)
-        wt1, wt2 = crlifts.omega_tilde_basis(zeta, zeta0)
-        c1 = crlifts.contract(wt1, v)
-        c2 = crlifts.contract(wt2, v)
-        worst_im = max(worst_im, abs(c1.imag), abs(c2.imag))
-        w = z2 / (zeta - zeta0)
-        scale = 1.0 + abs(z2) ** 2
-        worst_id = max(
-            worst_id,
-            abs(c1.real + 2 * w.real / scale),
-            abs(c2.real - 2 * w.imag / scale),
-        )
+    u = rng.uniform(size=(identity_samples, 5))
+    z2 = (0.05 + 0.9 * u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    zeta = np.exp(2j * np.pi * u[:, 2])
+    zeta0 = 0.9 * u[:, 3] * np.exp(2j * np.pi * u[:, 4])
+    keep = np.abs(zeta - zeta0) >= 1e-3
+    z2, zeta, zeta0 = z2[keep], zeta[keep], zeta0[keep]
+    v = crlifts.pointing_direction(z2, zeta)
+    wt1, wt2 = crlifts.omega_tilde_basis(zeta, zeta0)
+    c1 = crlifts.contract(wt1, v)
+    c2 = crlifts.contract(wt2, v)
+    w = z2 / (zeta - zeta0)
+    scale = 1.0 + np.hypot(z2.real, z2.imag) ** 2  # as in pointing_direction
+    worst_im = np.max(np.abs([c1.imag, c2.imag]), initial=0.0)
+    worst_id = np.max(
+        np.abs([c1.real + 2 * w.real / scale, c2.real - 2 * w.imag / scale]),
+        initial=0.0,
+    )
     add("contraction_realness", worst_im, 1e-12)
     add("contraction_identities", worst_id, 1e-10, "derived +-2 Re/Im closed forms")
 

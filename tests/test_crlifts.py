@@ -186,6 +186,25 @@ class TestBroadcast:
                     assert np.allclose(wi[:, k], wk, rtol=1e-14, atol=0)
                     assert abs(pi[k] - contract(wk, vk)) <= 1e-14 * abs(pi[k])
 
+    def test_bit_identical_over_every_argument(self):
+        # the lemma suite's contraction check broadcasts over z2, zeta and
+        # zeta0 at once and must report the values of its scalar loop
+        rng = np.random.default_rng(9)
+        u = rng.uniform(size=(500, 5))
+        z2 = (0.05 + 0.9 * u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        zeta = np.exp(2j * np.pi * u[:, 2])
+        zeta0 = 0.9 * u[:, 3] * np.exp(2j * np.pi * u[:, 4])
+        v = pointing_direction(z2, zeta)
+        w = omega_tilde_basis(zeta, zeta0)
+        pairings = [contract(wi, v) for wi in w]
+        for k in range(len(z2)):
+            vk = pointing_direction(z2[k], zeta[k])
+            wk = omega_tilde_basis(zeta[k], zeta0[k])
+            assert np.array_equal(v[:, k], vk)
+            for wi, pi, wik in zip(w, pairings, wk):
+                assert np.array_equal(wi[:, k], wik)
+                assert pi[k] == contract(wik, vk)
+
     def test_guards_hold_for_every_element(self):
         circle = np.exp(2j * np.pi * np.arange(8) / 8)
         with pytest.raises(SingularAtCenter):

@@ -99,7 +99,7 @@ class TestExtendibility:
         for _ in range(50):
             rep = extendibility_test(f, random_disc(rng))
             assert rep.verdict
-            assert rep.max_negative_modulus < 1e-14
+            assert rep.max_negative_modulus == 0.0
 
     def test_verdicts(self):
         f = HermitianPolynomial.monomial((0, 1), (0, 1))  # |z2|^2
@@ -161,6 +161,17 @@ class TestExtensionValue:
         with pytest.raises(ValueError):
             extension_value(f, disc, 1.0)
 
+    @pytest.mark.parametrize(
+        "tau0",
+        [float("nan"), complex(0.5, float("nan")), complex(float("nan"), 0.0),
+         complex(float("inf"), 0.0), complex(0.0, float("-inf"))],
+    )
+    def test_nonfinite_parameter_rejected(self, tau0):
+        f = HermitianPolynomial.monomial((1, 0), (0, 0))
+        disc = disc_from_line(Complex2(0, 0), Complex2(1, 0))
+        with pytest.raises(ValueError):
+            extension_value(f, disc, tau0)
+
     def test_counterexample_values(self):
         # |z2|^2 along two discs through the origin: the naive extensions at
         # 0 disagree (1 along the z2-axis, 0 along the z1-axis)
@@ -193,3 +204,75 @@ class TestLiftedValue:
         lp = lift(disc, 0.3)
         with pytest.raises(NotInFamily):
             lifted_value(f, Complex2(-0.5, 0.0), lp)
+
+
+def _all_keys(d):
+    return [
+        (a1, a2, b1, b2)
+        for a1 in range(d + 1)
+        for a2 in range(d + 1 - a1)
+        for b1 in range(d + 1 - a1 - a2)
+        for b2 in range(d + 1 - a1 - a2 - b1)
+    ]
+
+
+_KINDS = {
+    "holomorphic": lambda k: k[2] + k[3] == 0,
+    "antiholomorphic": lambda k: k[0] + k[1] == 0,
+    "mixed": lambda k: min(k[0], k[2]) == 0,
+    # z1*conj(z1) factors left in, as in z1 zbar1 + z2 zbar2 - 1
+    "non-normal": lambda k: True,
+}
+
+
+def _random_polynomial(rng, d, kind):
+    """Five random terms of the given kind, one of them of degree exactly d."""
+    keys = [k for k in _all_keys(d) if _KINDS[kind](k)]
+    top = [k for k in keys if sum(k) == d]
+    picks = [top[rng.integers(len(top))]] + [keys[i] for i in rng.integers(len(keys), size=4)]
+    return HermitianPolynomial({k: complex(*rng.normal(size=2)) for k in picks})
+
+
+class TestAgainstExactRestriction:
+    """The moment test and the extension values, which evaluate the
+    holomorphic terms directly and take the rest from one DFT, against the
+    exact Laurent restriction."""
+
+    @pytest.mark.parametrize("d", range(13))
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_every_degree(self, d, kind):
+        rng = np.random.default_rng(100 * d + list(_KINDS).index(kind))
+        for _ in range(4):
+            f = _random_polynomial(rng, d, kind)
+            scale = sum(abs(c) for c in f.terms.values())
+            P = Complex2(*(0.4 * rng.uniform(-1, 1, size=2) + 0.4j * rng.uniform(-1, 1, size=2)))
+            w = rng.normal(size=4)
+            disc = disc_from_line(P, Complex2(complex(w[0], w[1]), complex(w[2], w[3])))
+            tau = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
+            exact = restrict_to_disc(f, disc)
+
+            rep = extendibility_test(f, disc)
+            assert type(rep.max_negative_modulus) is float
+            assert abs(rep.max_negative_modulus - exact.max_negative_modulus()) <= 1e-12 * scale
+            if kind == "holomorphic" or d == 0:
+                assert rep.max_negative_modulus == 0.0
+
+            # an unbounded tolerance gives the k >= 0 part for every f
+            value = extension_value(f, disc, tau, tol=np.inf)
+            assert type(value) is complex
+            assert abs(value - exact.eval_nonnegative(tau)) <= 1e-12 * scale
+            lifted = lifted_value(f, P, lift(disc, tau), tol=np.inf)
+            assert type(lifted) is complex
+            assert abs(lifted - exact.eval_nonnegative(tau)) <= 1e-12 * scale
+
+    def test_sphere_relation(self):
+        # z1 zbar1 + z2 zbar2 - 1 vanishes on the sphere, so its restriction
+        # is zero and it extends by zero along every disc
+        f = HermitianPolynomial({(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0})
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            disc = random_disc(rng)
+            rep = extendibility_test(f, disc)
+            assert rep.verdict and rep.max_negative_modulus < 1e-15
+            tau = rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform())
+            assert abs(extension_value(f, disc, tau)) < 1e-15

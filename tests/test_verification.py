@@ -12,8 +12,11 @@ from disctrace.verification import (
     extension_consistency,
     kernel_experiment,
     lemma_suite,
+    lift_pair_min_distance,
     one_point_control,
     predicted_one_point_kernel,
+    random_direction,
+    random_interior_point,
     sample_disc_family,
     two_point_probe,
 )
@@ -227,6 +230,64 @@ class TestExtensionConsistency:
                                   Complex2(0.1, 0.0), m=1)
 
 
+def broadcast_min_distance(d1, d2, P, n_tau=48, radius=1e-3):
+    """The pairwise lift-curve distance by direct (n, n, 2) differences and
+    1 - |<zeta, zeta'>|^2, excluding base points within radius of P: the
+    reference of the matrix-product form."""
+    rr = np.linspace(0.05, 0.95, 6)
+    th = 2 * np.pi * np.arange(n_tau) / n_tau
+    taus = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
+    b1, z1 = verification._lift_curve_samples(d1, taus)
+    b2, z2 = verification._lift_curve_samples(d2, taus)
+    Pv = P.as_array()
+    keep1 = np.linalg.norm(b1 - Pv, axis=1) > radius
+    keep2 = np.linalg.norm(b2 - Pv, axis=1) > radius
+    b1, z1, b2, z2 = b1[keep1], z1[keep1], b2[keep2], z2[keep2]
+    base_d2 = np.sum(np.abs(b1[:, None, :] - b2[None, :, :]) ** 2, axis=2)
+    fiber_d2 = np.clip(1.0 - np.abs(z1 @ z2.conj().T) ** 2, 0.0, None)
+    return float(np.sqrt(np.min(base_d2 + fiber_d2)))
+
+
+class TestLiftPairMinDistance:
+    def test_matches_broadcast_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            P = random_interior_point(rng)
+            d1 = disc_from_line(P, random_direction(rng))
+            d2 = disc_from_line(P, random_direction(rng))
+            assert abs(lift_pair_min_distance(d1, d2, P) - broadcast_min_distance(d1, d2, P)) < 1e-12
+
+    def test_identical_discs_meet(self):
+        # the control the 1e-6 injectivity threshold must reject
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            P = random_interior_point(rng)
+            d = disc_from_line(P, random_direction(rng))
+            assert lift_pair_min_distance(d, d, P) < 1e-7
+
+    def test_center_on_the_parameter_grid(self):
+        # P = A(tau) at a grid parameter of the first disc, whose sample there
+        # falls in the 1e-3 exclusion around P; a second disc through P in a
+        # nearby direction often comes closest at P, so the exclusion moves
+        # the minimum in some of these scenes
+        rng = np.random.default_rng(13)
+        taus = np.linspace(0.05, 0.95, 6)[:, None] * np.exp(2j * np.pi * np.arange(48) / 48)
+        moved = 0
+        for _ in range(50):
+            v = random_direction(rng).as_array()
+            d1 = disc_from_line(random_interior_point(rng, rmax=0.6), Complex2.from_array(v))
+            tau = taus.flat[rng.integers(taus.size)]
+            P = d1.point(tau)
+            w = v + 3e-2 * random_direction(rng).as_array()
+            d2 = disc_from_line(P, Complex2.from_array(w))
+            base, _ = verification._lift_curve_samples(d1, [tau])
+            assert np.linalg.norm(base[0] - P.as_array()) < 1e-3
+            expected = broadcast_min_distance(d1, d2, P)
+            assert abs(lift_pair_min_distance(d1, d2, P) - expected) < 1e-12
+            moved += expected > broadcast_min_distance(d1, d2, P, radius=0.0) + 1e-6
+        assert moved > 0
+
+
 class TestLemmaSuite:
     def test_small_run_structure(self):
         report = lemma_suite(seed=1, samples=20, identity_samples=50,
@@ -239,6 +300,12 @@ class TestLemmaSuite:
         doc = report.to_json_dict()
         assert doc["schema"] == "v1"
         assert doc["all_passed"] is True
+
+    def test_no_identity_samples(self):
+        report = lemma_suite(seed=1, samples=5, identity_samples=0, scene_samples=2)
+        checks = {c.name: c for c in report.checks}
+        assert checks["contraction_realness"].value == 0.0
+        assert checks["contraction_identities"].value == 0.0
 
     def test_winding_entry_value(self):
         report = lemma_suite(seed=1, samples=5, identity_samples=10,
