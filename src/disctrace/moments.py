@@ -9,10 +9,12 @@ the disc iff its negative coefficients vanish.
 The moment test and the extension values split f into its holomorphic
 terms, which have no negative Laurent terms and extend as themselves (they
 are evaluated directly at A(tau0)), and the rest, whose Laurent
-coefficients come from one DFT of its samples at the 2D + 2 roots of unity,
-D its top degree; the DFT is exact because the restriction has degrees in
-[-D, D].  restrict_to_disc, the exact coefficient-by-coefficient
-restriction, is the oracle the tests compare them with.
+coefficients come from _boundary_dft, the one DFT of samples at the 2D + 2
+roots of unity (D the top degree) that also builds the moment matrix of
+verification.build_moment_matrix; the DFT is exact because the restriction
+has degrees in [-D, D].  restrict_to_disc, the exact
+coefficient-by-coefficient restriction, is the oracle the tests compare
+them with.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import NonFiniteSample, NotExtendible, NotInFamily
 from .geometry import Complex2
 
 DEFAULT_MOMENT_TOL = 1e-10
-FFT_MOMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,31 +106,43 @@ def restrict_to_disc(f: HermitianPolynomial, A: StraightDisc) -> LaurentPolynomi
     return LaurentPolynomial(out)
 
 
+def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, D: int) -> np.ndarray:
+    """Unnormalized DFT along tau of the monomials z^alpha conj(z)^beta with
+    exponent rows e = (alpha1, alpha2, beta1, beta2), |alpha| + |beta| <= D,
+    on the boundaries of the discs a + tau*b ((n, 2) arrays), sampled at the
+    N = 2D + 2 roots of unity; shape (n, N, len(e)).
+
+    Divided by N, index k holds the Laurent coefficient k for k = 0..D and
+    index -k (that is, N - k) the coefficient -k.
+    """
+    N = 2 * D + 2
+    tau = np.exp(2j * np.pi * np.arange(N) / N)
+    z = a[:, None, :] + tau[None, :, None] * b[:, None, :]
+    zp = z[..., None] ** np.arange(D + 1)  # (n, N, 2, D + 1)
+    zc = zp.conj()
+    samples = zp[:, :, 0, e[:, 0]]
+    samples *= zp[:, :, 1, e[:, 1]]
+    samples *= zc[:, :, 0, e[:, 2]]
+    samples *= zc[:, :, 1, e[:, 3]]
+    return np.fft.fft(samples, axis=1)
+
+
 def _nonholomorphic_coefficients(
     f: HermitianPolynomial, A: StraightDisc
 ) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficients on the boundary of A of the non-holomorphic
     terms of f, as (c_0..c_D, c_-1..c_-D), D their top degree; both empty
-    when f is holomorphic.
-
-    One DFT of the samples at the N = 2D + 2 roots of unity; the
-    restriction has degrees in [-D, D], so the DFT is exact, as in
-    verification.build_moment_matrix.
+    when f is holomorphic.  The boundary DFT of those monomials, contracted
+    with their coefficients in f.
     """
     keys = [k for k in f.terms if k[2] + k[3] > 0]
     if not keys:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     e = np.array(keys)
     D = int(e.sum(axis=1).max())
-    N = 2 * D + 2
-    tau = np.exp(2j * np.pi * np.arange(N) / N)
-    z = A.a.as_array() + tau[:, None] * A.b.as_array()
-    zp = z[..., None] ** np.arange(D + 1)  # (N, 2, D + 1)
-    zc = zp.conj()
-    monomials = zp[:, 0, e[:, 0]] * zp[:, 1, e[:, 1]] * zc[:, 0, e[:, 2]] * zc[:, 1, e[:, 3]]
-    c = np.fft.fft(monomials @ np.array([f.terms[k] for k in keys])) / N
-    # coefficient -k sits at index N - k
-    return c[: D + 1], c[N - 1 : N - D - 1 : -1]
+    dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, D)[0]
+    c = dft @ np.array([f.terms[k] for k in keys]) / (2 * D + 2)
+    return c[: D + 1], c[-1 : -D - 1 : -1]
 
 
 def _max_modulus(coeffs: np.ndarray) -> float:

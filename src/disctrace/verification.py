@@ -36,7 +36,7 @@ from .geometry import (
     apply_automorphism,
     cp1_distance,
 )
-from .moments import extension_value
+from .moments import _boundary_dft, extension_value
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 DEFAULT_SVD_TOL = 1e-8
@@ -81,12 +81,12 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     """Moment matrix of all reduced monomials of degree <= d along the
     given discs.
 
-    Each disc is sampled at the N = 2d + 2 roots of unity and one FFT along
-    tau gives the Laurent coefficients -1..-d of every non-holomorphic
-    monomial; the restriction has degrees in [-d, d], so the DFT is exact
-    (restrict_to_disc is the scalar oracle).  Holomorphic monomials have no
-    negative terms: their columns are exactly zero.  Discs are processed in
-    blocks of at most _BLOCK_BYTES of samples.
+    The coefficients -1..-d of every non-holomorphic monomial come from
+    moments._boundary_dft, the boundary DFT that the moment test shares,
+    which is exact for these Laurent polynomials (restrict_to_disc is the
+    scalar oracle).  Holomorphic monomials have no negative terms: their
+    columns are exactly zero.  Discs are processed in blocks of at most
+    _BLOCK_BYTES of samples.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -99,22 +99,11 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
     N = 2 * d + 2
-    tau = np.exp(2j * np.pi * np.arange(N) / N)
-    exponents = np.arange(d + 1)
     out = np.zeros((len(discs) * d, len(basis)), dtype=complex)
     step = max(1, _BLOCK_BYTES // (16 * N * len(nh)))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
-        z = a[lo:hi, None, :] + tau[None, :, None] * b[lo:hi, None, :]
-        zp = z[..., None] ** exponents  # (discs, N, 2, d + 1)
-        zc = zp.conj()
-        samples = zp[:, :, 0, e[:, 0]]
-        samples *= zp[:, :, 1, e[:, 1]]
-        samples *= zc[:, :, 0, e[:, 2]]
-        samples *= zc[:, :, 1, e[:, 3]]
-        coeffs = np.fft.fft(samples, axis=1)
-        # coefficient -k sits at index N - k, for k = 1..d
-        coeffs = coeffs[:, N - 1 : N - d - 1 : -1, :]
+        coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, d)[:, -1 : -d - 1 : -1, :]
         coeffs /= N
         out[lo * d : hi * d, nh] = coeffs.reshape(-1, len(nh))
     return MomentMatrix(out, d, list(discs), basis)
@@ -136,12 +125,9 @@ class KernelReport:
     def spectral_gap(self) -> float:
         s = self.singular_values
         rank = len(s) - self.kernel_dimension
-        if self.kernel_dimension == 0 or rank == 0:
+        if not 0 < rank < len(s) or s[rank] == 0:
             return float("inf")
-        if rank > len(s) or self.kernel_dimension > len(s):
-            return float("inf")
-        denom = s[rank] if rank < len(s) else 0.0
-        return float("inf") if denom == 0 else float(s[rank - 1] / denom)
+        return float(s[rank - 1] / s[rank])
 
     def kernel_polynomials(self) -> list[HermitianPolynomial]:
         out = []
@@ -199,7 +185,6 @@ def _nullspace_report(
     svd_tol: float,
     predicted_span: np.ndarray | None,
     config: dict,
-    require_gap: bool = True,
 ) -> KernelReport:
     M = matrix.matrix
     norms = np.linalg.norm(M, axis=1)
@@ -215,7 +200,7 @@ def _nullspace_report(
     svals[: len(s)] = s
     rank = int(np.sum(svals > svd_tol * svals[0])) if svals[0] > 0 else 0
     kdim = ncols - rank
-    if require_gap and 0 < rank < ncols and svals[rank] > 0:
+    if 0 < rank < ncols and svals[rank] > 0:
         if svals[rank - 1] / svals[rank] < SPECTRAL_GAP_MIN:
             raise DegenerateSample(
                 f"spectral gap {svals[rank - 1] / svals[rank]:.1f} below "
@@ -232,32 +217,46 @@ def _nullspace_report(
     return KernelReport(kdim, hdim, angle, svals, kernel, matrix.basis, config)
 
 
-def _degree0_report(config: dict) -> KernelReport:
-    # no negative-degree rows exist at degree 0: constants are holomorphic
-    return KernelReport(
-        1, 1, 0.0, np.array([]), np.eye(1, dtype=complex), reduced_basis(0), config
-    )
-
-
-def _assert_noncollinear(P1: Complex2, P2: Complex2, P3: Complex2) -> None:
-    d12 = np.array([P2.z1 - P1.z1, P2.z2 - P1.z2], dtype=complex)
-    if np.linalg.norm(d12) == 0:
+def _assert_general_position(points) -> None:
+    """Pairwise distinct points, three of them not on one complex line."""
+    d = [p.as_array() - points[0].as_array() for p in points[1:]]
+    if d and np.linalg.norm(d[0]) == 0:
         raise CollinearPoints("points must be pairwise distinct")
-    d13 = np.array([P3.z1 - P1.z1, P3.z2 - P1.z2], dtype=complex)
-    u = d12 / np.linalg.norm(d12)
-    resid = d13 - np.sum(d13 * np.conj(u)) * u
-    if np.linalg.norm(resid) < 1e-10:
-        raise CollinearPoints("the three points lie on one complex line")
+    if len(d) == 2:
+        u = d[0] / np.linalg.norm(d[0])
+        resid = d[1] - np.sum(d[1] * np.conj(u)) * u
+        if np.linalg.norm(resid) < 1e-10:
+            raise CollinearPoints("the three points lie on one complex line")
 
 
-def _config_echo(points, d, n, svd_tol, seed) -> dict:
-    return {
+def _family_report(points, d, n, svd_tol, seed, predicted) -> KernelReport:
+    """Nullspace experiment for the disc families through the given interior
+    points, n discs each, family j sampled with seed + j.  The angle is
+    measured against the coordinate span of the multi-indices in predicted,
+    unless it is None."""
+    for p in points:
+        if p.norm() >= 1.0:
+            raise ValueError("points must be interior")
+    _assert_general_position(points)
+    config = {
         "points": [[p.z1.real, p.z1.imag, p.z2.real, p.z2.imag] for p in points],
         "degree": d,
         "discs_per_point": n,
         "svd_tol": svd_tol,
         "seed": seed,
     }
+    if d == 0:
+        # no negative-degree rows exist at degree 0: constants are holomorphic
+        angle = None if predicted is None else 0.0
+        return KernelReport(
+            1, 1, angle, np.array([]), np.eye(1, dtype=complex), reduced_basis(0), config
+        )
+    discs = []
+    for j, P in enumerate(points):
+        discs.extend(sample_disc_family(P, n, seed + j))
+    matrix = build_moment_matrix(d, discs)
+    span = None if predicted is None else _coordinate_span(matrix.basis, predicted)
+    return _nullspace_report(matrix, svd_tol, span, config)
 
 
 def kernel_experiment(
@@ -273,28 +272,10 @@ def kernel_experiment(
     """Three-family nullspace experiment: for non-collinear interior points
     the kernel must be exactly the holomorphic trace span of degree <= d."""
     points = (P1, P2, P3)
-    for p in points:
-        if p.norm() >= 1.0:
-            raise ValueError("points must be interior")
-    _assert_noncollinear(P1, P2, P3)
-    if d == 0:
-        return _degree0_report(
-            _config_echo(points, d, discs_per_point, svd_tol, seed)
-        )
-
-    def run(n: int) -> KernelReport:
-        discs = []
-        for j, P in enumerate(points):
-            discs.extend(sample_disc_family(P, n, seed + j))
-        matrix = build_moment_matrix(d, discs)
-        holo = _coordinate_span(matrix.basis, holomorphic_basis(d))
-        return _nullspace_report(
-            matrix, svd_tol, holo, _config_echo(points, d, n, svd_tol, seed)
-        )
-
-    report = run(discs_per_point)
+    holo = holomorphic_basis(d)
+    report = _family_report(points, d, discs_per_point, svd_tol, seed, holo)
     if check_stability:
-        doubled = run(2 * discs_per_point)
+        doubled = _family_report(points, d, 2 * discs_per_point, svd_tol, seed, holo)
         if doubled.kernel_dimension != report.kernel_dimension:
             raise DegenerateSample(
                 "kernel dimension not stable under doubling the disc count"
@@ -320,22 +301,11 @@ def one_point_control(
 ) -> OnePointControl:
     """Single-family control: one point does not suffice.  For P = 0 the
     kernel is compared against the enumerated |alpha| >= |beta| span."""
-    if P.norm() >= 1.0:
-        raise ValueError("point must be interior")
-    if d == 0:
-        report = _degree0_report(_config_echo((P,), d, n, svd_tol, seed))
-        return OnePointControl(report, 1, 0.0)
-    matrix = build_moment_matrix(d, sample_disc_family(P, n, seed))
-    at_origin = P.norm() < 1e-14
-    predicted = None
-    if at_origin:
-        predicted = _coordinate_span(matrix.basis, predicted_one_point_kernel(d))
-    report = _nullspace_report(
-        matrix, svd_tol, predicted, _config_echo((P,), d, n, svd_tol, seed)
-    )
+    predicted = predicted_one_point_kernel(d) if P.norm() < 1e-14 else None
+    report = _family_report((P,), d, n, svd_tol, seed, predicted)
     return OnePointControl(
         report,
-        predicted.shape[1] if predicted is not None else None,
+        None if predicted is None else len(predicted),
         report.max_principal_angle,
     )
 
@@ -352,14 +322,7 @@ def two_point_probe(
     analytic, so two points are already expected to cut the kernel down to
     the holomorphic span.  The reported angle measures containment of the
     holomorphic span in the kernel."""
-    if (P1.as_array() == P2.as_array()).all():
-        raise CollinearPoints("points must be distinct")
-    discs = sample_disc_family(P1, n, seed) + sample_disc_family(P2, n, seed + 1)
-    matrix = build_moment_matrix(d, discs)
-    holo = _coordinate_span(matrix.basis, holomorphic_basis(d))
-    return _nullspace_report(
-        matrix, svd_tol, holo, _config_echo((P1, P2), d, n, svd_tol, seed)
-    )
+    return _family_report((P1, P2), d, n, svd_tol, seed, holomorphic_basis(d))
 
 
 def extension_consistency(

@@ -153,11 +153,18 @@ class TestKernelExperiment:
     def test_exterior_rejected(self):
         with pytest.raises(ValueError):
             kernel_experiment(Complex2(1.5, 0), P2, P3, d=2, discs_per_point=5)
+        # the interior check runs before the collinearity check
+        with pytest.raises(ValueError):
+            kernel_experiment(
+                Complex2(1.5, 0), Complex2(2.0, 0), Complex2(3.0, 0),
+                d=2, discs_per_point=5,
+            )
 
     def test_degree_zero(self):
         report = kernel_experiment(P1, P2, P3, d=0, discs_per_point=5)
         assert report.kernel_dimension == 1
         assert report.max_principal_angle == 0.0
+        assert report.spectral_gap == float("inf")
 
     def test_undersampled_degenerate(self):
         with pytest.raises(DegenerateSample):
@@ -194,6 +201,17 @@ class TestOnePointControl:
     def test_degree_zero(self):
         ctl = one_point_control(P1, d=0, n=5)
         assert ctl.report.kernel_dimension == 1
+        assert ctl.predicted_dimension == 1
+        assert ctl.angle_to_predicted == 0.0
+        # off the origin there is no prediction, at every degree
+        ctl = one_point_control(P2, d=0, n=5)
+        assert ctl.report.kernel_dimension == 1
+        assert ctl.predicted_dimension is None
+        assert ctl.angle_to_predicted is None
+
+    def test_exterior_rejected(self):
+        with pytest.raises(ValueError):
+            one_point_control(Complex2(0.0, 1.5), d=2, n=5)
 
 
 class TestTwoPointProbe:
@@ -205,6 +223,15 @@ class TestTwoPointProbe:
     def test_distinct_points_required(self):
         with pytest.raises(CollinearPoints):
             two_point_probe(P2, P2, d=2, n=5)
+
+    def test_degree_zero(self):
+        report = two_point_probe(P1, P2, d=0, n=5)
+        assert report.kernel_dimension == 1
+        assert report.max_principal_angle == 0.0
+
+    def test_exterior_rejected(self):
+        with pytest.raises(ValueError):
+            two_point_probe(P1, Complex2(1.5, 0), d=2, n=5)
 
 
 class TestExtensionConsistency:
