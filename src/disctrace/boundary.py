@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegreeOverflow, OffSphere
 from .geometry import Complex2
 
-DEFAULT_MAX_DEGREE = 12
+MAX_DEGREE = 12
 
 # key: (alpha1, alpha2, beta1, beta2)
 MultiIndexPair = tuple[int, int, int, int]
@@ -36,7 +36,6 @@ class HermitianPolynomial:
     coefficients; zero coefficients are never stored."""
 
     terms: dict[MultiIndexPair, complex] = field(default_factory=dict)
-    max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
         clean = {}
@@ -44,9 +43,9 @@ class HermitianPolynomial:
             k = tuple(int(i) for i in k)
             if any(i < 0 for i in k):
                 raise ValueError("multi-indices must be nonnegative")
-            if _total_degree(k) > self.max_degree:
+            if _total_degree(k) > MAX_DEGREE:
                 raise DegreeOverflow(
-                    f"monomial degree {_total_degree(k)} exceeds cap {self.max_degree}"
+                    f"monomial degree {_total_degree(k)} exceeds cap {MAX_DEGREE}"
                 )
             c = complex(c)
             if c != 0:
@@ -58,28 +57,23 @@ class HermitianPolynomial:
         return max((_total_degree(k) for k in self.terms), default=0)
 
     @staticmethod
-    def monomial(alpha, beta, coeff: complex = 1.0, max_degree: int = DEFAULT_MAX_DEGREE):
-        return HermitianPolynomial(
-            {(alpha[0], alpha[1], beta[0], beta[1]): coeff}, max_degree
-        )
+    def monomial(alpha, beta, coeff: complex = 1.0):
+        return HermitianPolynomial({(alpha[0], alpha[1], beta[0], beta[1]): coeff})
 
     def __add__(self, other: "HermitianPolynomial") -> "HermitianPolynomial":
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        return HermitianPolynomial(terms, max(self.max_degree, other.max_degree))
+        return HermitianPolynomial(terms)
 
     def __mul__(self, scalar: complex) -> "HermitianPolynomial":
-        return HermitianPolynomial(
-            {k: scalar * c for k, c in self.terms.items()}, self.max_degree
-        )
+        return HermitianPolynomial({k: scalar * c for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "HermitianPolynomial":
         return HermitianPolynomial(
-            {(k[2], k[3], k[0], k[1]): np.conj(c) for k, c in self.terms.items()},
-            self.max_degree,
+            {(k[2], k[3], k[0], k[1]): np.conj(c) for k, c in self.terms.items()}
         )
 
     def is_holomorphic(self) -> bool:
@@ -99,21 +93,21 @@ class HermitianPolynomial:
         }
 
     @staticmethod
-    def from_json_dict(doc: dict, max_degree: int = DEFAULT_MAX_DEGREE):
+    def from_json_dict(doc: dict):
         terms = {}
         for t in doc["terms"]:
             k = (t["alpha"][0], t["alpha"][1], t["beta"][0], t["beta"][1])
             terms[k] = terms.get(k, 0.0) + complex(t["re"], t["im"])
-        return HermitianPolynomial(terms, max_degree)
+        return HermitianPolynomial(terms)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
     @staticmethod
-    def load(path, max_degree: int = DEFAULT_MAX_DEGREE):
+    def load(path):
         with open(path) as fh:
-            return HermitianPolynomial.from_json_dict(json.load(fh), max_degree)
+            return HermitianPolynomial.from_json_dict(json.load(fh))
 
 
 def evaluate(f: HermitianPolynomial, z: Complex2) -> complex:
@@ -146,7 +140,7 @@ def normal_form(f: HermitianPolynomial) -> HermitianPolynomial:
                 pending[key] = pending.get(key, 0.0) + dc
         else:
             out[(a1, a2, b1, b2)] = out.get((a1, a2, b1, b2), 0.0) + c
-    return HermitianPolynomial(out, f.max_degree)
+    return HermitianPolynomial(out)
 
 
 def reduced_basis(d: int) -> list[MultiIndexPair]:
@@ -174,9 +168,6 @@ def _monomial_integral(a1: int, a2: int, b1: int, b2: int) -> float:
 
 def sphere_inner_product(f: HermitianPolynomial, g: HermitianPolynomial) -> complex:
     """Exact L^2 inner product <f, g> = integral f * conj(g) dsigma."""
-    for p in (f, g):
-        if p.degree > DEFAULT_MAX_DEGREE:
-            raise DegreeOverflow("inner product inputs exceed the degree cap")
     total = 0.0 + 0.0j
     for (a1, a2, b1, b2), cf in f.terms.items():
         for (c1, c2, d1, d2), cg in g.terms.items():

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .boundary import HermitianPolynomial
+from .boundary import MAX_DEGREE, HermitianPolynomial
 from .discs import disc_through_two_points
 from .errors import (
     CollinearPoints,
@@ -29,9 +29,8 @@ from .verification import (
     sample_disc_family,
 )
 
-MAX_DEGREE = 12
 # the kernel passes when its largest principal angle to the holomorphic
-# span is below this, whatever --svd-tol sets for the rank cutoff
+# span is below this; the rank itself is read off the moment matrix
 ANGLE_TOL = 1e-8
 
 
@@ -107,14 +106,12 @@ def cmd_kernel(args) -> int:
     _check_degree(args.degree)
     if args.discs < 1:
         raise UsageError("--discs must be at least 1")
-    _check_tolerance("--svd-tol", args.svd_tol)
     points = [parse_interior_point(t) for t in args.points]
     try:
         report = kernel_experiment(
             *points,
             d=args.degree,
             discs_per_point=args.discs,
-            svd_tol=args.svd_tol,
             seed=args.seed,
         )
     except CollinearPoints as exc:
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--points", nargs=3, required=True)
     k.add_argument("--degree", type=int, default=4)
     k.add_argument("--discs", type=int, default=60)
-    k.add_argument("--svd-tol", type=float, default=1e-8)
     common(k)
     k.set_defaults(func=cmd_kernel)
 

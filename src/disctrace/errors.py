@@ -64,7 +64,7 @@ class OffSphere(DiscTraceError):
 
 
 class DegreeOverflow(DiscTraceError):
-    """Polynomial degree exceeds the configured maximum."""
+    """Polynomial degree exceeds boundary.MAX_DEGREE."""
 
 
 # moments

@@ -10,7 +10,7 @@ coincide with the holomorphic trace span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .geometry import (
 from .moments import _boundary_dft, extension_value
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-DEFAULT_SVD_TOL = 1e-8
 SPECTRAL_GAP_MIN = 1e3
 
 
@@ -69,8 +68,13 @@ class MomentMatrix:
 
     matrix: np.ndarray
     degree: int
-    discs: list[StraightDisc]
     basis: list[tuple[int, int, int, int]]
+
+
+def _nonholomorphic(basis) -> np.ndarray:
+    """Mask of the basis monomials with a conjugate factor."""
+    e = np.array(basis).reshape(-1, 4)
+    return e[:, 2] + e[:, 3] > 0
 
 
 # working-set cap of one assembly block, in bytes of complex samples
@@ -93,9 +97,8 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     if not discs:
         raise ValueError("need at least one disc")
     basis = reduced_basis(d)
-    e = np.array(basis)
-    nh = np.flatnonzero(e[:, 2] + e[:, 3] > 0)
-    e = e[nh]
+    nh = np.flatnonzero(_nonholomorphic(basis))
+    e = np.array(basis)[nh]
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
     N = 2 * d + 2
@@ -106,38 +109,43 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, d)[:, -1 : -d - 1 : -1, :]
         coeffs /= N
         out[lo * d : hi * d, nh] = coeffs.reshape(-1, len(nh))
-    return MomentMatrix(out, d, list(discs), basis)
+    return MomentMatrix(out, d, basis)
 
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Outcome of a moment-matrix nullspace experiment."""
+    """Outcome of a moment-matrix nullspace experiment.  The kernel is the
+    holomorphic coordinate span plus the null vectors of the
+    non-holomorphic block of the moment matrix."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
     max_principal_angle: float | None
     singular_values: np.ndarray
-    kernel_basis: np.ndarray  # columns: coefficient vectors over the basis
+    spectral_gap: float  # the singular-value ratio the rank decision used
+    null_vectors: np.ndarray  # columns over the non-holomorphic basis monomials
     basis: list[tuple[int, int, int, int]]
     config: dict = field(default_factory=dict)
 
     @property
-    def spectral_gap(self) -> float:
-        s = self.singular_values
-        rank = len(s) - self.kernel_dimension
-        if not 0 < rank < len(s) or s[rank] == 0:
-            return float("inf")
-        return float(s[rank - 1] / s[rank])
+    def kernel_basis(self) -> np.ndarray:
+        """Columns: orthonormal coefficient vectors over the basis, the
+        holomorphic coordinate directions first."""
+        nh = _nonholomorphic(self.basis)
+        holo = np.flatnonzero(~nh)
+        out = np.zeros(
+            (len(self.basis), len(holo) + self.null_vectors.shape[1]), dtype=complex
+        )
+        out[holo, np.arange(len(holo))] = 1.0
+        out[nh, len(holo) :] = self.null_vectors
+        return out
 
     def kernel_polynomials(self) -> list[HermitianPolynomial]:
-        out = []
-        for j in range(self.kernel_basis.shape[1]):
-            out.append(
-                HermitianPolynomial(
-                    {k: self.kernel_basis[i, j] for i, k in enumerate(self.basis)}
-                )
-            )
-        return out
+        K = self.kernel_basis
+        return [
+            HermitianPolynomial({k: K[i, j] for i, k in enumerate(self.basis)})
+            for j in range(K.shape[1])
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,11 +190,19 @@ def _coordinate_span(basis, members) -> np.ndarray:
 
 def _nullspace_report(
     matrix: MomentMatrix,
-    svd_tol: float,
     predicted_span: np.ndarray | None,
     config: dict,
 ) -> KernelReport:
-    M = matrix.matrix
+    """Kernel of the moment matrix: the holomorphic coordinate span plus the
+    nullspace of the non-holomorphic block M_nh.  The rank of M_nh sits at
+    the largest ratio between consecutive singular values of the
+    row-normalized M_nh, floored at eps * s_0 with the floor appended
+    (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998), so full
+    rank is decided by s_min / floor and no cutoff is set by the user."""
+    nh = _nonholomorphic(matrix.basis)
+    if np.any(matrix.matrix[:, ~nh] != 0):
+        raise ValueError("holomorphic columns of the moment matrix must vanish")
+    M = matrix.matrix[:, nh]
     norms = np.linalg.norm(M, axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
     nrows, ncols = M.shape
@@ -198,23 +214,25 @@ def _nullspace_report(
     _, s, Vh = np.linalg.svd(M, full_matrices=nrows < ncols)
     svals = np.zeros(ncols)
     svals[: len(s)] = s
-    rank = int(np.sum(svals > svd_tol * svals[0])) if svals[0] > 0 else 0
-    kdim = ncols - rank
-    if 0 < rank < ncols and svals[rank] > 0:
-        if svals[rank - 1] / svals[rank] < SPECTRAL_GAP_MIN:
-            raise DegenerateSample(
-                f"spectral gap {svals[rank - 1] / svals[rank]:.1f} below "
-                f"{SPECTRAL_GAP_MIN:.0f}"
-            )
-    kernel = Vh[rank:].conj().T
+    floor = np.finfo(float).eps * svals[0]
+    steps = np.append(np.maximum(svals, floor), floor)
+    ratios = steps[:-1] / steps[1:]
+    rank = int(np.argmax(ratios)) + 1
+    gap = float(ratios[rank - 1])
+    if gap < SPECTRAL_GAP_MIN:
+        raise DegenerateSample(f"spectral gap {gap:.1f} below {SPECTRAL_GAP_MIN:.0f}")
 
-    angle = None
-    hdim = len(holomorphic_basis(matrix.degree))
-    if predicted_span is not None and kdim > 0 and predicted_span.shape[1] > 0:
-        G = gram_matrix(matrix.basis)
-        L = np.linalg.cholesky(G)
-        angle = float(np.max(_principal_angles_metric(kernel, predicted_span, L)))
-    return KernelReport(kdim, hdim, angle, svals, kernel, matrix.basis, config)
+    hdim = len(nh) - ncols
+    svals = np.concatenate([svals, np.zeros(hdim)])
+    null = Vh[rank:].conj().T
+    report = KernelReport(
+        hdim + ncols - rank, hdim, None, svals, gap, null, matrix.basis, config
+    )
+    if predicted_span is None or predicted_span.shape[1] == 0:
+        return report
+    L = np.linalg.cholesky(gram_matrix(matrix.basis))
+    angles = _principal_angles_metric(report.kernel_basis, predicted_span, L)
+    return replace(report, max_principal_angle=float(np.max(angles)))
 
 
 def _assert_general_position(points) -> None:
@@ -229,7 +247,7 @@ def _assert_general_position(points) -> None:
             raise CollinearPoints("the three points lie on one complex line")
 
 
-def _family_report(points, d, n, svd_tol, seed, predicted) -> KernelReport:
+def _family_report(points, d, n, seed, predicted) -> KernelReport:
     """Nullspace experiment for the disc families through the given interior
     points, n discs each, family j sampled with seed + j.  The angle is
     measured against the coordinate span of the multi-indices in predicted,
@@ -242,21 +260,21 @@ def _family_report(points, d, n, svd_tol, seed, predicted) -> KernelReport:
         "points": [[p.z1.real, p.z1.imag, p.z2.real, p.z2.imag] for p in points],
         "degree": d,
         "discs_per_point": n,
-        "svd_tol": svd_tol,
         "seed": seed,
     }
     if d == 0:
         # no negative-degree rows exist at degree 0: constants are holomorphic
         angle = None if predicted is None else 0.0
+        null = np.zeros((0, 0))
         return KernelReport(
-            1, 1, angle, np.array([]), np.eye(1, dtype=complex), reduced_basis(0), config
+            1, 1, angle, np.array([]), float("inf"), null, reduced_basis(0), config
         )
     discs = []
     for j, P in enumerate(points):
         discs.extend(sample_disc_family(P, n, seed + j))
     matrix = build_moment_matrix(d, discs)
     span = None if predicted is None else _coordinate_span(matrix.basis, predicted)
-    return _nullspace_report(matrix, svd_tol, span, config)
+    return _nullspace_report(matrix, span, config)
 
 
 def kernel_experiment(
@@ -265,7 +283,6 @@ def kernel_experiment(
     P3: Complex2,
     d: int,
     discs_per_point: int,
-    svd_tol: float = DEFAULT_SVD_TOL,
     seed: int = 0,
     check_stability: bool = True,
 ) -> KernelReport:
@@ -273,9 +290,9 @@ def kernel_experiment(
     the kernel must be exactly the holomorphic trace span of degree <= d."""
     points = (P1, P2, P3)
     holo = holomorphic_basis(d)
-    report = _family_report(points, d, discs_per_point, svd_tol, seed, holo)
+    report = _family_report(points, d, discs_per_point, seed, holo)
     if check_stability:
-        doubled = _family_report(points, d, 2 * discs_per_point, svd_tol, seed, holo)
+        doubled = _family_report(points, d, 2 * discs_per_point, seed, holo)
         if doubled.kernel_dimension != report.kernel_dimension:
             raise DegenerateSample(
                 "kernel dimension not stable under doubling the disc count"
@@ -296,13 +313,11 @@ def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
     return [k for k in reduced_basis(d) if k[0] + k[1] >= k[2] + k[3]]
 
 
-def one_point_control(
-    P: Complex2, d: int, n: int, seed: int = 0, svd_tol: float = DEFAULT_SVD_TOL
-) -> OnePointControl:
+def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> OnePointControl:
     """Single-family control: one point does not suffice.  For P = 0 the
     kernel is compared against the enumerated |alpha| >= |beta| span."""
     predicted = predicted_one_point_kernel(d) if P.norm() < 1e-14 else None
-    report = _family_report((P,), d, n, svd_tol, seed, predicted)
+    report = _family_report((P,), d, n, seed, predicted)
     return OnePointControl(
         report,
         None if predicted is None else len(predicted),
@@ -311,18 +326,13 @@ def one_point_control(
 
 
 def two_point_probe(
-    P1: Complex2,
-    P2: Complex2,
-    d: int,
-    n: int,
-    seed: int = 0,
-    svd_tol: float = DEFAULT_SVD_TOL,
+    P1: Complex2, P2: Complex2, d: int, n: int, seed: int = 0
 ) -> KernelReport:
     """Two-family probe, reported but not asserted: polynomial data is real
     analytic, so two points are already expected to cut the kernel down to
     the holomorphic span.  The reported angle measures containment of the
     holomorphic span in the kernel."""
-    return _family_report((P1, P2), d, n, svd_tol, seed, holomorphic_basis(d))
+    return _family_report((P1, P2), d, n, seed, holomorphic_basis(d))
 
 
 def extension_consistency(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disctrace.boundary import (
+    MAX_DEGREE,
     HermitianPolynomial,
     evaluate,
     gram_matrix,
@@ -46,6 +47,7 @@ class TestHermitianPolynomial:
         assert HermitianPolynomial().degree == 0
 
     def test_degree_cap(self):
+        assert HermitianPolynomial({(MAX_DEGREE, 0, 0, 0): 1.0}).degree == 12
         with pytest.raises(DegreeOverflow):
             HermitianPolynomial({(7, 6, 0, 0): 1.0})
 

@@ -78,13 +78,20 @@ class TestKernelCommand:
     def test_bad_point(self):
         assert main(["kernel", "--points", "x", "0.5,0", "0,0.5"]) == 2
 
-    def test_angle_threshold_independent_of_svd_tol(self, capsys):
-        # a tight rank cutoff does not tighten the principal-angle test
-        rc = main(["kernel", "--points", *SCENE, "--degree", "8", "--discs", "30",
-                   "--seed", "7", "--svd-tol", "1e-12", "--json-only"])
+    def test_maximum_degree_passes(self, capsys):
+        rc = main(["kernel", "--points", *SCENE, "--degree", "12", "--discs", "50",
+                   "--seed", "7", "--json-only"])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["kernel_dimension"] == doc["holomorphic_dimension"] == 45
+        assert doc["kernel_dimension"] == doc["holomorphic_dimension"] == 91
+        assert "svd_tol" not in doc["config"]
         assert rc == 0
+
+    def test_rank_cutoff_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--points", *SCENE, "--degree", "2", "--discs", "10",
+                  "--svd-tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--svd-tol" in capsys.readouterr().err
 
     def test_undersampled_fails(self, capsys):
         rc = main(["kernel", "--points", *SCENE, "--degree", "4",
@@ -235,13 +242,6 @@ class TestUsageErrors:
         self.assert_usage_error(
             ["test", "--function", str(path), "--point", "0.3,0.2",
              "--discs", "4"], capsys,
-        )
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-    def test_kernel_bad_svd_tol(self, tol, capsys):
-        self.assert_usage_error(
-            ["kernel", "--points", *SCENE, "--degree", "2", "--discs", "10",
-             "--svd-tol", tol], capsys,
         )
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])

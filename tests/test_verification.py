@@ -166,6 +166,55 @@ class TestKernelExperiment:
         assert report.max_principal_angle == 0.0
         assert report.spectral_gap == float("inf")
 
+    @pytest.mark.parametrize("d, n, dim", [(10, 120, 66), (12, 50, 91)])
+    def test_high_degree(self, d, n, dim):
+        report = kernel_experiment(P1, P2, P3, d=d, discs_per_point=n, seed=7,
+                                   check_stability=False)
+        assert report.kernel_dimension == report.expected_holomorphic_dimension == dim
+        assert report.max_principal_angle < 1e-8
+        assert report.spectral_gap > 1e3
+
+    def test_rank_deficit_is_not_full_rank(self):
+        # 40 discs per point leave M_nh short of its 728 columns at d = 12
+        try:
+            report = kernel_experiment(P1, P2, P3, d=12, discs_per_point=40, seed=7,
+                                       check_stability=False)
+        except DegenerateSample:
+            return
+        assert report.kernel_dimension != 91
+
+    def test_nonzero_holomorphic_column_rejected(self):
+        M = build_moment_matrix(3, sample_disc_family(P2, 8, seed=0))
+        M.matrix[0, M.basis.index((1, 0, 0, 0))] = 1e-300
+        with pytest.raises(ValueError, match="holomorphic columns"):
+            verification._nullspace_report(M, None, {})
+
+    def test_kernel_basis_embeds_null_vectors(self):
+        ctl = one_point_control(P1, d=3, n=30, seed=7)
+        K = ctl.report.kernel_basis
+        assert K.shape == (len(ctl.report.basis), ctl.report.kernel_dimension)
+        assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+        M = build_moment_matrix(3, sample_disc_family(P1, 30, seed=7)).matrix
+        assert np.max(np.abs(M @ K)) < 1e-12
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 6)])
+    def test_rank_matches_extended_precision(self, d, n):
+        mpmath = pytest.importorskip("mpmath")
+        report = kernel_experiment(P1, P2, P3, d=d, discs_per_point=n, seed=0,
+                                   check_stability=False)
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, n, seed=j))
+        M = build_moment_matrix(d, discs)
+        M_nh = M.matrix[:, [k[2] + k[3] > 0 for k in M.basis]]
+        with mpmath.workdps(40):
+            s = mpmath.svd_c(mpmath.matrix(M_nh.tolist()), compute_uv=False)
+            s = sorted((float(x) for x in s), reverse=True)
+        # 40 digits resolve the smallest singular value far above roundoff
+        rank = sum(x > 1e-25 * s[0] for x in s)
+        assert rank == M_nh.shape[1] == len(M.basis) - report.kernel_dimension
+        assert rank == {3: 20, 4: 40}[d]
+
     def test_undersampled_degenerate(self):
         with pytest.raises(DegenerateSample):
             kernel_experiment(P1, P2, P3, d=4, discs_per_point=2, seed=0)
