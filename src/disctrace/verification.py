@@ -116,7 +116,10 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 class KernelReport:
     """Outcome of a moment-matrix nullspace experiment.  The kernel is the
     holomorphic coordinate span plus the null vectors of the
-    non-holomorphic block of the moment matrix."""
+    non-holomorphic block of the moment matrix.  A full-rank block has no
+    null vectors (null_vectors has zero columns); its singular values are
+    computed without vectors, and when the predicted span is the
+    holomorphic one, max_principal_angle is 0.0 by construction."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
@@ -190,7 +193,7 @@ def _coordinate_span(basis, members) -> np.ndarray:
 
 def _nullspace_report(
     matrix: MomentMatrix,
-    predicted_span: np.ndarray | None,
+    predicted: list[tuple[int, int, int, int]] | None,
     config: dict,
 ) -> KernelReport:
     """Kernel of the moment matrix: the holomorphic coordinate span plus the
@@ -198,7 +201,14 @@ def _nullspace_report(
     the largest ratio between consecutive singular values of the
     row-normalized M_nh, floored at eps * s_0 with the floor appended
     (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998), so full
-    rank is decided by s_min / floor and no cutoff is set by the user."""
+    rank is decided by s_min / floor and no cutoff is set by the user.
+
+    Singular vectors are computed only when the rank is short, the only
+    case with null vectors.  The angle to the coordinate span of the
+    multi-indices in predicted is measured in the L2 metric of the sphere,
+    except at full rank with predicted exactly the holomorphic monomials:
+    the kernel is then that same coordinate span, and the angle is 0 by
+    construction."""
     nh = _nonholomorphic(matrix.basis)
     if np.any(matrix.matrix[:, ~nh] != 0):
         raise ValueError("holomorphic columns of the moment matrix must vanish")
@@ -210,8 +220,7 @@ def _nullspace_report(
         # R of M = QR has the singular values and right singular vectors of
         # M, without a rows x cols U
         M = np.linalg.qr(M, mode="r")
-    # the thin Vh lacks kernel rows only when there are fewer rows than columns
-    _, s, Vh = np.linalg.svd(M, full_matrices=nrows < ncols)
+    s = np.linalg.svd(M, compute_uv=False)
     svals = np.zeros(ncols)
     svals[: len(s)] = s
     floor = np.finfo(float).eps * svals[0]
@@ -220,18 +229,29 @@ def _nullspace_report(
     rank = int(np.argmax(ratios)) + 1
     gap = float(ratios[rank - 1])
     if gap < SPECTRAL_GAP_MIN:
-        raise DegenerateSample(f"spectral gap {gap:.1f} below {SPECTRAL_GAP_MIN:.0f}")
+        raise DegenerateSample(
+            f"spectral gap {gap:.1f} below {SPECTRAL_GAP_MIN:.0f} "
+            f"(rank {rank} of {ncols} columns, {nrows} rows)"
+        )
 
+    null = np.zeros((ncols, 0), dtype=complex)
+    if rank < ncols:
+        # the thin Vh lacks kernel rows only when there are fewer rows than columns
+        Vh = np.linalg.svd(M, full_matrices=nrows < ncols)[2]
+        null = Vh[rank:].conj().T
     hdim = len(nh) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
-    null = Vh[rank:].conj().T
     report = KernelReport(
         hdim + ncols - rank, hdim, None, svals, gap, null, matrix.basis, config
     )
-    if predicted_span is None or predicted_span.shape[1] == 0:
+    if not predicted:
         return report
+    holo = {k for k, m in zip(matrix.basis, nh) if not m}
+    if rank == ncols and set(predicted) == holo:
+        return replace(report, max_principal_angle=0.0)
     L = np.linalg.cholesky(gram_matrix(matrix.basis))
-    angles = _principal_angles_metric(report.kernel_basis, predicted_span, L)
+    span = _coordinate_span(matrix.basis, predicted)
+    angles = _principal_angles_metric(report.kernel_basis, span, L)
     return replace(report, max_principal_angle=float(np.max(angles)))
 
 
@@ -272,9 +292,7 @@ def _family_report(points, d, n, seed, predicted) -> KernelReport:
     discs = []
     for j, P in enumerate(points):
         discs.extend(sample_disc_family(P, n, seed + j))
-    matrix = build_moment_matrix(d, discs)
-    span = None if predicted is None else _coordinate_span(matrix.basis, predicted)
-    return _nullspace_report(matrix, span, config)
+    return _nullspace_report(build_moment_matrix(d, discs), predicted, config)
 
 
 def kernel_experiment(

@@ -1,7 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from disctrace.boundary import HermitianPolynomial, holomorphic_basis, reduced_basis
+from disctrace.boundary import (
+    HermitianPolynomial,
+    gram_matrix,
+    holomorphic_basis,
+    reduced_basis,
+)
 from disctrace.discs import disc_from_line
 from disctrace.errors import CollinearPoints, DegenerateSample
 from disctrace.geometry import Complex2
@@ -29,6 +36,19 @@ P3 = Complex2(0.0, 0.5)
 @pytest.fixture(scope="module")
 def main_report():
     return kernel_experiment(P1, P2, P3, d=4, discs_per_point=30, seed=7)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Basis sizes of the verification.gram_matrix calls made in the test."""
+    calls = []
+
+    def counting(basis):
+        calls.append(len(basis))
+        return gram_matrix(basis)
+
+    monkeypatch.setattr(verification, "gram_matrix", counting)
+    return calls
 
 
 class TestSampling:
@@ -173,6 +193,7 @@ class TestKernelExperiment:
         assert report.kernel_dimension == report.expected_holomorphic_dimension == dim
         assert report.max_principal_angle < 1e-8
         assert report.spectral_gap > 1e3
+        assert report.null_vectors.shape == (len(report.basis) - dim, 0)
 
     def test_rank_deficit_is_not_full_rank(self):
         # 40 discs per point leave M_nh short of its 728 columns at d = 12
@@ -183,19 +204,68 @@ class TestKernelExperiment:
             return
         assert report.kernel_dimension != 91
 
+    def test_rank_decision_failure_names_rank_and_shape(self):
+        # 44 discs per point at d = 12: the gap falls just short of the gate
+        with pytest.raises(DegenerateSample) as info:
+            kernel_experiment(P1, P2, P3, d=12, discs_per_point=44, seed=7,
+                              check_stability=False)
+        m = re.fullmatch(
+            r"spectral gap (\d+\.\d) below 1000 "
+            r"\(rank \d+ of 728 columns, 1584 rows\)",
+            str(info.value),
+        )
+        assert m is not None, str(info.value)
+        assert float(m[1]) < 1e3
+
+    def test_full_rank_skips_the_angle(self, gram_calls):
+        report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7)
+        assert report.kernel_dimension == 15
+        assert report.null_vectors.shape == (40, 0)
+        assert report.max_principal_angle == 0.0
+        assert gram_calls == []
+
+    def test_skipped_angle_and_values_match_the_full_computation(self):
+        report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7,
+                                   check_stability=False)
+        L = np.linalg.cholesky(gram_matrix(report.basis))
+        span = verification._coordinate_span(report.basis, holomorphic_basis(4))
+        angles = verification._principal_angles_metric(report.kernel_basis, span, L)
+        assert np.max(angles) < 1e-14
+
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, 60, seed=7 + j))
+        M = build_moment_matrix(4, discs)
+        M_nh = M.matrix[:, [k[2] + k[3] > 0 for k in M.basis]]
+        M_nh = M_nh / np.linalg.norm(M_nh, axis=1)[:, None]
+        s = np.linalg.svd(np.linalg.qr(M_nh, mode="r"), compute_uv=True)[1]
+        values = report.singular_values[: len(s)]
+        assert np.max(np.abs(values - s)) <= 1e-13 * s[0]
+
     def test_nonzero_holomorphic_column_rejected(self):
         M = build_moment_matrix(3, sample_disc_family(P2, 8, seed=0))
         M.matrix[0, M.basis.index((1, 0, 0, 0))] = 1e-300
         with pytest.raises(ValueError, match="holomorphic columns"):
             verification._nullspace_report(M, None, {})
 
-    def test_kernel_basis_embeds_null_vectors(self):
-        ctl = one_point_control(P1, d=3, n=30, seed=7)
+    @staticmethod
+    def _check_kernel_basis(P, n):
+        """The rank-short one-point control at d = 3 has null vectors, and
+        its kernel basis is orthonormal and annihilated by the moment matrix."""
+        ctl = one_point_control(P, d=3, n=n, seed=7)
+        assert ctl.report.null_vectors.shape[1] > 0
         K = ctl.report.kernel_basis
         assert K.shape == (len(ctl.report.basis), ctl.report.kernel_dimension)
         assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
-        M = build_moment_matrix(3, sample_disc_family(P1, 30, seed=7)).matrix
+        M = build_moment_matrix(3, sample_disc_family(P, n, seed=7)).matrix
         assert np.max(np.abs(M @ K)) < 1e-12
+
+    def test_kernel_basis_embeds_null_vectors(self):
+        self._check_kernel_basis(P1, 30)
+
+    def test_null_vectors_with_fewer_rows_than_columns(self):
+        # 3 discs through (0.5, 0): 9 rows against 20 non-holomorphic columns
+        self._check_kernel_basis(P2, 3)
 
     @pytest.mark.parametrize("d, n", [(3, 4), (4, 6)])
     def test_rank_matches_extended_precision(self, d, n):
@@ -235,11 +305,13 @@ class TestKernelExperiment:
 
 
 class TestOnePointControl:
-    def test_origin_control(self):
+    def test_origin_control(self, gram_calls):
         ctl = one_point_control(P1, d=4, n=60, seed=7)
         assert ctl.report.kernel_dimension == 32
         assert ctl.predicted_dimension == 32
         assert ctl.angle_to_predicted < 1e-8
+        # |alpha| >= |beta| is not the holomorphic span: the angle is measured
+        assert len(gram_calls) == 1
 
     def test_predicted_enumeration(self):
         pred = predicted_one_point_kernel(4)
