@@ -12,6 +12,7 @@ sphere measure are exact:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -40,7 +41,8 @@ class HermitianPolynomial:
     def __post_init__(self):
         clean = {}
         for k, c in self.terms.items():
-            k = tuple(int(i) for i in k)
+            # operator.index raises TypeError on 1.5 where int() truncates
+            k = tuple(operator.index(i) for i in k)
             if any(i < 0 for i in k):
                 raise ValueError("multi-indices must be nonnegative")
             if _total_degree(k) > MAX_DEGREE:
@@ -48,6 +50,8 @@ class HermitianPolynomial:
                     f"monomial degree {_total_degree(k)} exceeds cap {MAX_DEGREE}"
                 )
             c = complex(c)
+            if not np.isfinite(c):
+                raise ValueError("coefficients must be finite")
             if c != 0:
                 clean[k] = clean.get(k, 0.0) + c
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
@@ -96,7 +100,15 @@ class HermitianPolynomial:
     def from_json_dict(doc: dict):
         terms = {}
         for t in doc["terms"]:
-            k = (t["alpha"][0], t["alpha"][1], t["beta"][0], t["beta"][1])
+            # bool is an int subclass, but JSON true is no exponent
+            if not all(
+                isinstance(t[key], list)
+                and len(t[key]) == 2
+                and all(type(i) is int for i in t[key])
+                for key in ("alpha", "beta")
+            ):
+                raise ValueError("alpha and beta must be lists of two integers")
+            k = (*t["alpha"], *t["beta"])
             terms[k] = terms.get(k, 0.0) + complex(t["re"], t["im"])
         return HermitianPolynomial(terms)
 
@@ -216,15 +228,11 @@ def holomorphic_defect(f: HermitianPolynomial) -> float:
     return float(np.sqrt(max(0.0, sphere_inner_product(residual, residual).real)))
 
 
-def hopf_quadrature_inner(
-    f: HermitianPolynomial,
-    g: HermitianPolynomial,
-    n_phi: int = 64,
-    n_radial: int = 32,
-) -> complex:
+def hopf_quadrature_inner(f: HermitianPolynomial, g: HermitianPolynomial) -> complex:
     """Quadrature cross-check of the exact inner product: product
     trapezoidal rule in the two Hopf angles, Gauss-Legendre in the radial
-    Hopf parameter."""
+    Hopf parameter, with 64 angles and 32 radial nodes."""
+    n_radial, n_phi = 32, 64
     u, wu = np.polynomial.legendre.leggauss(n_radial)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu

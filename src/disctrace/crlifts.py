@@ -37,8 +37,8 @@ _FIBER_EPS = 1e-6
 
 def m0_defining_value(z1: complex, z2: complex, z3: complex) -> complex:
     """Defining function r = z3 - conj(z2)/conj(z1) of the through-origin
-    family manifold (away from z1 = 0)."""
-    if abs(z1) <= _POLE_EPS:
+    family manifold (away from z1 = 0).  Broadcasts over arrays."""
+    if np.any(np.abs(z1) <= _POLE_EPS):
         raise PoleAtAxis("defining function has a pole at z1 = 0")
     return z3 - np.conj(z2) / np.conj(z1)
 
@@ -128,25 +128,21 @@ def transported_direction(
     return x[0] * np.asarray(e1) + x[1] * np.asarray(e2)
 
 
-def _sweep_curve(z2: complex, zeta0: complex, n: int) -> np.ndarray:
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+def _sweep_curve(z2: complex, zeta0: complex) -> np.ndarray:
+    zeta = np.exp(2j * np.pi * np.arange(256) / 256)
     w1, w2 = omega_tilde_basis(zeta, zeta0)
     v = pointing_direction(z2, zeta)
     return np.column_stack([contract(w1, v).real, contract(w2, v).real])
 
 
-def direction_sweep_winding(
-    z2: complex, zeta0: complex, zeta_Q: complex, n: int = 256
-) -> int:
+def direction_sweep_winding(z2: complex, zeta0: complex, zeta_Q: complex) -> int:
     """Winding number about the origin of the closed curve of dual pairing
     coordinates of the transported direction as the boundary parameter
-    traverses the circle.  Nonzero winding means the direction sweeps all
-    of the normal directions at zeta_Q."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
+    traverses the 256th roots of unity.  Nonzero winding means the
+    direction sweeps all of the normal directions at zeta_Q."""
     if abs(zeta_Q - zeta0) <= _POLE_EPS:
         raise SingularAtCenter("target parameter coincides with the singularity")
-    pts = _sweep_curve(z2, zeta0, n)
+    pts = _sweep_curve(z2, zeta0)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     if np.min(norms) < 1e-12:
         raise CurveThroughOrigin("sweep curve passes through the origin")
@@ -214,7 +210,8 @@ def transversality_rank(P1: Complex2, P2: Complex2, point) -> int:
     conormal, so the rank is 5 when the families meet transversally along
     that edge and 4 when they coincide.
     """
-    assert isinstance(point, LiftPoint)
+    if not isinstance(point, LiftPoint):
+        raise TypeError(f"point must be a LiftPoint, not {type(point).__name__}")
     z = point.z
     if abs(z.norm() - 1.0) > 1e-8:
         raise ChartEvaluationFailure("transversality is evaluated on the boundary")

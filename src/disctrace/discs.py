@@ -118,7 +118,7 @@ def lift(A: StraightDisc, tau: complex) -> LiftPoint:
     return LiftPoint(A.point(tau), CP1Point(zeta[0], zeta[1]))
 
 
-def disc_from_lift_point(z: Complex2, zeta: CP1Point, tol: float = 1e-10):
+def disc_from_lift_point(z: Complex2, zeta: CP1Point):
     """Invert the lift: the straight disc whose lift passes through
     (z, [zeta]), with the parameter at which it does.
 
@@ -127,7 +127,7 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point, tol: float = 1e-10):
     so c - conj(s)*z is proportional to (1 - |tau|^2)*b: the direction of
     the disc through z.  It is nonzero for every interior z, so every
     (z, [zeta]) with |z| < 1 is a lift point.  Raises NoSolution when the
-    lift of the recovered disc misses [zeta] by tol or more, and
+    lift of the recovered disc misses [zeta] by 1e-10 or more, and
     LineMissesBall from disc_from_line when |z|^2 is within 1e-12 of 1.
     """
     if z.norm() >= 1.0:
@@ -140,7 +140,7 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point, tol: float = 1e-10):
     # [tau0*conj(a) + conj(b)] of the recovered disc to the unit zeta
     w = tau0 * np.conj(disc.a.as_array()) + np.conj(disc.b.as_array())
     err = min(1.0, float(abs(w[0] * zc[1] - w[1] * zc[0]) / np.linalg.norm(w)))
-    if err >= tol:
+    if err >= 1e-10:
         raise NoSolution(
             f"no disc through ({z.z1}, {z.z2}) lifting to the given class "
             f"(residual {err:.3e})"

@@ -53,11 +53,11 @@ def hermitian_inner(u: Complex2, v: Complex2) -> complex:
     return u.z1 * np.conj(v.z1) + u.z2 * np.conj(v.z2)
 
 
-def _canonical_phase(v: np.ndarray, eps: float = PHASE_EPS) -> np.ndarray:
-    """Rotate v by a unit phase so its first component of modulus > eps is
-    real positive."""
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate v by a unit phase so its first component of modulus above
+    PHASE_EPS is real positive."""
     for c in v:
-        if abs(c) > eps:
+        if abs(c) > PHASE_EPS:
             return v * (np.conj(c) / abs(c))
     return v
 

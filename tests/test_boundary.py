@@ -74,6 +74,27 @@ class TestHermitianPolynomial:
         g = HermitianPolynomial.load(path)
         assert g.terms == f.terms
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_nonfinite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianPolynomial({(1, 0, 0, 0): c})
+
+    @pytest.mark.parametrize("i", [1.5, 1.0, "1"])
+    def test_nonintegral_multi_index_rejected(self, i):
+        # int() would truncate 1.5 to 1
+        with pytest.raises(TypeError):
+            HermitianPolynomial({(i, 0, 0, 0): 1.0})
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [([1], [0, 0]), ([1, 0, 5], [0, 0]), ([1.5, 0], [0, 0]),
+         ([True, 0], [0, 0]), ([1, 0], "00"), ([1, 0], [0, None])],
+    )
+    def test_from_json_needs_two_integers(self, alpha, beta):
+        doc = {"terms": [{"alpha": alpha, "beta": beta, "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ValueError, match="two integers"):
+            HermitianPolynomial.from_json_dict(doc)
+
 
 class TestEvaluate:
     def test_off_sphere_rejected(self):
@@ -110,6 +131,11 @@ class TestNormalForm:
         for _ in range(20):
             z = random_sphere_point(rng)
             assert evaluate(f, z) == pytest.approx(evaluate(nf, z), abs=1e-10)
+
+
+def test_no_hypothesis_example_database():
+    # conftest.py loads a profile without one, which @settings inherits
+    assert settings.default.database is None
 
 
 class TestReducedBasis:

@@ -244,6 +244,32 @@ class TestUsageErrors:
              "--discs", "4"], capsys,
         )
 
+    @pytest.mark.parametrize("command", ["test", "extend"])
+    @pytest.mark.parametrize(
+        "term",
+        [
+            '"alpha": [2, 1], "beta": [0, 0], "re": NaN, "im": 0.0',
+            '"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": Infinity',
+            '"alpha": [1], "beta": [0, 0], "re": 1.0, "im": 0.0',
+            '"alpha": [1, 0, 5], "beta": [0, 0], "re": 1.0, "im": 0.0',
+            '"alpha": [1.5, 0], "beta": [0, 0], "re": 1.0, "im": 0.0',
+            '"alpha": [true, 0], "beta": [0, 0], "re": 1.0, "im": 0.0',
+        ],
+        ids=["nan", "inf", "short", "long", "float", "bool"],
+    )
+    def test_malformed_function_file(self, command, term, tmp_path, capsys):
+        # each file used to pass, print nan, end in a traceback or be
+        # silently truncated
+        path = tmp_path / "bad.json"
+        path.write_text('{"terms": [{' + term + "}]}")
+        argv = {
+            "test": ["test", "--function", str(path), "--point", "0.3,0.2",
+                     "--discs", "4"],
+            "extend": ["extend", "--function", str(path), "--points", *SCENE,
+                       "--at", "0.2,0.1", "--discs", "4"],
+        }[command]
+        self.assert_usage_error(argv, capsys)
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_test_nonfinite_tol(self, tol, holomorphic_file, capsys):
         self.assert_usage_error(

@@ -41,6 +41,9 @@ class TestDefiningFunction:
     def test_pole_at_axis(self):
         with pytest.raises(PoleAtAxis):
             m0_defining_value(0.0, 0.5, 0.1)
+        # the guard covers every element of an array call
+        with pytest.raises(PoleAtAxis):
+            m0_defining_value(np.array([0.5, 0.0]), 0.5, 0.1)
 
 
 class TestOmegaBases:
@@ -147,18 +150,14 @@ class TestTransport:
 
 class TestWinding:
     def test_instance(self):
-        assert direction_sweep_winding(0.5, 0.5, -1.0 + 0j, n=256) in (-1, 1)
+        assert direction_sweep_winding(0.5, 0.5, -1.0 + 0j) in (-1, 1)
 
     def test_nonzero_on_random_scenes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             z2 = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             zeta0 = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            assert direction_sweep_winding(z2, zeta0, -1.0 + 0j, n=256) != 0
-
-    def test_sample_count_guard(self):
-        with pytest.raises(ValueError):
-            direction_sweep_winding(0.5, 0.5, -1.0 + 0j, n=8)
+            assert direction_sweep_winding(z2, zeta0, -1.0 + 0j) != 0
 
     def test_singular_target(self):
         with pytest.raises(SingularAtCenter):
@@ -333,3 +332,9 @@ class TestTransversality:
         point = LiftPoint(z, CP1Point(1.0, 0.3))
         with pytest.raises(ChartEvaluationFailure):
             transversality_rank(Complex2(0.5, 0.0), Complex2(0.0, 0.5), point)
+
+    def test_non_lift_point_rejected(self):
+        # a TypeError, not an assert that python -O would strip
+        point = lift(disc_from_line(Complex2(0.5, 0.0), Complex2(1.0, 0.0)), 1.0)
+        with pytest.raises(TypeError, match="LiftPoint"):
+            transversality_rank(Complex2(0.5, 0.0), Complex2(0.0, 0.5), point.as_c3())
