@@ -43,6 +43,8 @@ class HermitianPolynomial:
         for k, c in self.terms.items():
             # operator.index raises TypeError on 1.5 where int() truncates
             k = tuple(operator.index(i) for i in k)
+            if len(k) != 4:
+                raise ValueError("multi-indices must have 4 entries")
             if any(i < 0 for i in k):
                 raise ValueError("multi-indices must be nonnegative")
             if _total_degree(k) > MAX_DEGREE:
@@ -62,7 +64,9 @@ class HermitianPolynomial:
 
     @staticmethod
     def monomial(alpha, beta, coeff: complex = 1.0):
-        return HermitianPolynomial({(alpha[0], alpha[1], beta[0], beta[1]): coeff})
+        if len(alpha) != 2 or len(beta) != 2:
+            raise ValueError("alpha and beta must have 2 entries")
+        return HermitianPolynomial({(*alpha, *beta): coeff})
 
     def __add__(self, other: "HermitianPolynomial") -> "HermitianPolynomial":
         terms = dict(self.terms)
@@ -108,6 +112,9 @@ class HermitianPolynomial:
                 for key in ("alpha", "beta")
             ):
                 raise ValueError("alpha and beta must be lists of two integers")
+            # JSON true would read as the number 1
+            if not all(type(t[key]) in (int, float) for key in ("re", "im")):
+                raise ValueError("re and im must be numbers")
             k = (*t["alpha"], *t["beta"])
             terms[k] = terms.get(k, 0.0) + complex(t["re"], t["im"])
         return HermitianPolynomial(terms)

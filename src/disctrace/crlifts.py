@@ -45,11 +45,16 @@ def m0_defining_value(z1: complex, z2: complex, z3: complex) -> complex:
 
 def omega_basis(z1: complex, z2: complex):
     """Holomorphic conormal basis (omega_1, omega_2) of the through-origin
-    family: omega_1 = (z2/z1^2, -1/z1, 1), omega_2 = (1/i)(-z2/z1^2, 1/z1, 1)."""
-    if abs(z1) <= _POLE_EPS:
+    family: omega_1 = (z2/z1^2, -1/z1, 1), omega_2 = (1/i)(-z2/z1^2, 1/z1, 1).
+    Broadcasts over arrays z1 and z2 (shape (3, *broadcast shape))."""
+    # numpy's complex division, unlike Python's and unlike numpy's complex
+    # square (which may fuse multiply-adds in array calls), has the same bits
+    # for every argument shape: divide twice by z1, as a numpy value
+    z1 = np.asarray(z1, dtype=complex)
+    if np.any(np.abs(z1) <= _POLE_EPS):
         raise PoleAtAxis("omega basis has a pole at z1 = 0")
-    w1 = np.array([z2 / z1**2, -1.0 / z1, 1.0], dtype=complex)
-    w2 = np.array([-z2 / z1**2, 1.0 / z1, 1.0], dtype=complex) / 1j
+    w1 = np.array(np.broadcast_arrays(z2 / z1 / z1, -1.0 / z1, 1.0), dtype=complex)
+    w2 = np.array(np.broadcast_arrays(-z2 / z1 / z1, 1.0 / z1, 1.0), dtype=complex) / 1j
     return w1, w2
 
 

@@ -18,7 +18,6 @@ from . import crlifts
 from .boundary import (
     HermitianPolynomial,
     gram_matrix,
-    holomorphic_basis,
     reduced_basis,
 )
 from .discs import (
@@ -118,8 +117,9 @@ class KernelReport:
     holomorphic coordinate span plus the null vectors of the
     non-holomorphic block of the moment matrix.  A full-rank block has no
     null vectors (null_vectors has zero columns); its singular values are
-    computed without vectors, and when the predicted span is the
-    holomorphic one, max_principal_angle is 0.0 by construction."""
+    computed without vectors.  The kernel contains the holomorphic span by
+    construction, so max_principal_angle, the angle to the predicted span,
+    is 0.0 except in the one-point control (None off the origin)."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
@@ -191,11 +191,7 @@ def _coordinate_span(basis, members) -> np.ndarray:
     return M
 
 
-def _nullspace_report(
-    matrix: MomentMatrix,
-    predicted: list[tuple[int, int, int, int]] | None,
-    config: dict,
-) -> KernelReport:
+def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
     """Kernel of the moment matrix: the holomorphic coordinate span plus the
     nullspace of the non-holomorphic block M_nh.  The rank of M_nh sits at
     the largest ratio between consecutive singular values of the
@@ -204,11 +200,8 @@ def _nullspace_report(
     rank is decided by s_min / floor and no cutoff is set by the user.
 
     Singular vectors are computed only when the rank is short, the only
-    case with null vectors.  The angle to the coordinate span of the
-    multi-indices in predicted is measured in the L2 metric of the sphere,
-    except at full rank with predicted exactly the holomorphic monomials:
-    the kernel is then that same coordinate span, and the angle is 0 by
-    construction."""
+    case with null vectors.  The kernel contains the holomorphic span by
+    construction, so its angle to that span is reported as 0.0."""
     nh = _nonholomorphic(matrix.basis)
     if np.any(matrix.matrix[:, ~nh] != 0):
         raise ValueError("holomorphic columns of the moment matrix must vanish")
@@ -241,18 +234,9 @@ def _nullspace_report(
         null = Vh[rank:].conj().T
     hdim = len(nh) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
-    report = KernelReport(
-        hdim + ncols - rank, hdim, None, svals, gap, null, matrix.basis, config
+    return KernelReport(
+        hdim + ncols - rank, hdim, 0.0, svals, gap, null, matrix.basis, config
     )
-    if not predicted:
-        return report
-    holo = {k for k, m in zip(matrix.basis, nh) if not m}
-    if rank == ncols and set(predicted) == holo:
-        return replace(report, max_principal_angle=0.0)
-    L = np.linalg.cholesky(gram_matrix(matrix.basis))
-    span = _coordinate_span(matrix.basis, predicted)
-    angles = _principal_angles_metric(report.kernel_basis, span, L)
-    return replace(report, max_principal_angle=float(np.max(angles)))
 
 
 def _assert_general_position(points) -> None:
@@ -267,11 +251,9 @@ def _assert_general_position(points) -> None:
             raise CollinearPoints("the three points lie on one complex line")
 
 
-def _family_report(points, d, n, seed, predicted) -> KernelReport:
+def _family_report(points, d, n, seed) -> KernelReport:
     """Nullspace experiment for the disc families through the given interior
-    points, n discs each, family j sampled with seed + j.  The angle is
-    measured against the coordinate span of the multi-indices in predicted,
-    unless it is None."""
+    points, n discs each, family j sampled with seed + j."""
     for p in points:
         if p.norm() >= 1.0:
             raise ValueError("points must be interior")
@@ -284,15 +266,14 @@ def _family_report(points, d, n, seed, predicted) -> KernelReport:
     }
     if d == 0:
         # no negative-degree rows exist at degree 0: constants are holomorphic
-        angle = None if predicted is None else 0.0
         null = np.zeros((0, 0))
         return KernelReport(
-            1, 1, angle, np.array([]), float("inf"), null, reduced_basis(0), config
+            1, 1, 0.0, np.array([]), float("inf"), null, reduced_basis(0), config
         )
     discs = []
     for j, P in enumerate(points):
         discs.extend(sample_disc_family(P, n, seed + j))
-    return _nullspace_report(build_moment_matrix(d, discs), predicted, config)
+    return _nullspace_report(build_moment_matrix(d, discs), config)
 
 
 def kernel_experiment(
@@ -307,10 +288,9 @@ def kernel_experiment(
     """Three-family nullspace experiment: for non-collinear interior points
     the kernel must be exactly the holomorphic trace span of degree <= d."""
     points = (P1, P2, P3)
-    holo = holomorphic_basis(d)
-    report = _family_report(points, d, discs_per_point, seed, holo)
+    report = _family_report(points, d, discs_per_point, seed)
     if check_stability:
-        doubled = _family_report(points, d, 2 * discs_per_point, seed, holo)
+        doubled = _family_report(points, d, 2 * discs_per_point, seed)
         if doubled.kernel_dimension != report.kernel_dimension:
             raise DegenerateSample(
                 "kernel dimension not stable under doubling the disc count"
@@ -332,10 +312,17 @@ def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
 
 def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> OnePointControl:
     """Single-family control: one point does not suffice.  For P = 0 the
-    kernel is compared against the enumerated |alpha| >= |beta| span."""
-    predicted = predicted_one_point_kernel(d) if P.norm() < 1e-14 else None
-    report = _family_report((P,), d, n, seed, predicted)
-    return OnePointControl(report, None if predicted is None else len(predicted))
+    kernel is compared, by L2 principal angle, against the enumerated
+    |alpha| >= |beta| span; elsewhere the angle is None."""
+    report = _family_report((P,), d, n, seed)
+    if P.norm() >= 1e-14:
+        return OnePointControl(replace(report, max_principal_angle=None), None)
+    predicted = predicted_one_point_kernel(d)
+    L = np.linalg.cholesky(gram_matrix(report.basis))
+    span = _coordinate_span(report.basis, predicted)
+    angles = _principal_angles_metric(report.kernel_basis, span, L)
+    report = replace(report, max_principal_angle=float(np.max(angles)))
+    return OnePointControl(report, len(predicted))
 
 
 def two_point_probe(
@@ -343,9 +330,8 @@ def two_point_probe(
 ) -> KernelReport:
     """Two-family probe, reported but not asserted: polynomial data is real
     analytic, so two points are already expected to cut the kernel down to
-    the holomorphic span.  The reported angle measures containment of the
-    holomorphic span in the kernel."""
-    return _family_report((P1, P2), d, n, seed, holomorphic_basis(d))
+    the holomorphic span."""
+    return _family_report((P1, P2), d, n, seed)
 
 
 def extension_consistency(
@@ -613,14 +599,9 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
     nfft = 256
     circle = np.exp(2j * np.pi * np.arange(nfft) / nfft)
     for r in (0.3, 0.6, 0.9):
-        vals = np.array(
-            [r * t * np.array(crlifts.omega_basis(r * t, 0.0)) for t in circle]
-        )
-        for which in range(2):
-            for comp in range(3):
-                c = np.fft.fft(vals[:, which, comp]) / nfft
-                neg = np.abs(c[nfft // 2 :])
-                worst = max(worst, float(np.max(neg)))
+        z1 = r * circle
+        c = np.fft.fft(z1 * np.array(crlifts.omega_basis(z1, 0.0))) / nfft
+        worst = max(worst, float(np.max(np.abs(c[..., nfft // 2 :]))))
     add(
         "omega_holomorphy_fft",
         worst,

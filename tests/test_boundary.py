@@ -95,6 +95,34 @@ class TestHermitianPolynomial:
         with pytest.raises(ValueError, match="two integers"):
             HermitianPolynomial.from_json_dict(doc)
 
+    @pytest.mark.parametrize("key", [(1, 0), (), (1, 0, 0, 0, 2)])
+    def test_multi_index_needs_four_entries(self, key):
+        # (1, 0) and () used to fail later in is_holomorphic and to_json_dict;
+        # the fifth entry of (1, 0, 0, 0, 2) was dropped from the JSON form
+        with pytest.raises(ValueError, match="4 entries"):
+            HermitianPolynomial({key: 1.0})
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [((1, 2, 3), (0, 0)), ((1,), (0, 0)), ((1, 0), (0, 0, 1))]
+    )
+    def test_monomial_needs_two_entries(self, alpha, beta):
+        # (1, 2, 3), (0, 0) used to become the monomial (1, 2, 0, 0)
+        with pytest.raises(ValueError, match="2 entries"):
+            HermitianPolynomial.monomial(alpha, beta)
+
+    @pytest.mark.parametrize(
+        "re, im", [(True, 0.0), (1.0, False), (True, False), ("1", 0.0), (1.0, None)]
+    )
+    def test_from_json_needs_numeric_coefficients(self, re, im):
+        # JSON true used to read as the coefficient 1
+        doc = {"terms": [{"alpha": [1, 0], "beta": [0, 0], "re": re, "im": im}]}
+        with pytest.raises(ValueError, match="numbers"):
+            HermitianPolynomial.from_json_dict(doc)
+
+    def test_from_json_accepts_integer_coefficients(self):
+        doc = {"terms": [{"alpha": [1, 0], "beta": [0, 0], "re": 2, "im": -1}]}
+        assert HermitianPolynomial.from_json_dict(doc).terms == {(1, 0, 0, 0): 2 - 1j}
+
 
 class TestEvaluate:
     def test_off_sphere_rejected(self):

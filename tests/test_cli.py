@@ -254,8 +254,10 @@ class TestUsageErrors:
             '"alpha": [1, 0, 5], "beta": [0, 0], "re": 1.0, "im": 0.0',
             '"alpha": [1.5, 0], "beta": [0, 0], "re": 1.0, "im": 0.0',
             '"alpha": [true, 0], "beta": [0, 0], "re": 1.0, "im": 0.0',
+            '"alpha": [2, 1], "beta": [0, 0], "re": true, "im": false',
+            '"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": true',
         ],
-        ids=["nan", "inf", "short", "long", "float", "bool"],
+        ids=["nan", "inf", "short", "long", "float", "bool", "bool-re", "bool-im"],
     )
     def test_malformed_function_file(self, command, term, tmp_path, capsys):
         # each file used to pass, print nan, end in a traceback or be

@@ -83,6 +83,20 @@ class TestOmegaBases:
                 )
                 assert np.linalg.norm(resid) < 1e-10
 
+    def test_omega_broadcasts_bit_identically(self):
+        # the lemma suite's holomorphy check makes one array call per radius
+        rng = np.random.default_rng(3)
+        z1 = rng.normal(size=(4, 50)) + 1j * rng.normal(size=(4, 50))
+        z2 = rng.normal(size=50) + 1j * rng.normal(size=50)
+        w = omega_basis(z1, z2)
+        assert w[0].shape == w[1].shape == (3, 4, 50)
+        for i, j in np.ndindex(z1.shape):
+            for args in [(z1[i, j], z2[j]), (complex(z1[i, j]), complex(z2[j]))]:
+                for wi, wk in zip(w, omega_basis(*args)):
+                    assert np.array_equal(wi[:, i, j], wk)
+        with pytest.raises(PoleAtAxis):
+            omega_basis(np.array([0.5, 0.0, 0.3j]), 0.1)
+
     def test_singularities(self):
         with pytest.raises(PoleAtAxis):
             omega_basis(0.0, 0.1)

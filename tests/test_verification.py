@@ -38,6 +38,16 @@ def main_report():
     return kernel_experiment(P1, P2, P3, d=4, discs_per_point=30, seed=7)
 
 
+def _angle_to_holomorphic_span(report) -> float:
+    """Largest L2 principal angle between the kernel and the holomorphic
+    coordinate span, computed explicitly."""
+    L = np.linalg.cholesky(gram_matrix(report.basis))
+    span = verification._coordinate_span(
+        report.basis, holomorphic_basis(report.config["degree"])
+    )
+    return np.max(verification._principal_angles_metric(report.kernel_basis, span, L))
+
+
 @pytest.fixture
 def gram_calls(monkeypatch):
     """Basis sizes of the verification.gram_matrix calls made in the test."""
@@ -227,10 +237,7 @@ class TestKernelExperiment:
     def test_skipped_angle_and_values_match_the_full_computation(self):
         report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7,
                                    check_stability=False)
-        L = np.linalg.cholesky(gram_matrix(report.basis))
-        span = verification._coordinate_span(report.basis, holomorphic_basis(4))
-        angles = verification._principal_angles_metric(report.kernel_basis, span, L)
-        assert np.max(angles) < 1e-14
+        assert _angle_to_holomorphic_span(report) < 1e-14
 
         discs = []
         for j, P in enumerate((P1, P2, P3)):
@@ -246,7 +253,7 @@ class TestKernelExperiment:
         M = build_moment_matrix(3, sample_disc_family(P2, 8, seed=0))
         M.matrix[0, M.basis.index((1, 0, 0, 0))] = 1e-300
         with pytest.raises(ValueError, match="holomorphic columns"):
-            verification._nullspace_report(M, None, {})
+            verification._nullspace_report(M, {})
 
     @staticmethod
     def _check_kernel_basis(P, n):
@@ -340,6 +347,17 @@ class TestTwoPointProbe:
         report = two_point_probe(P1, P2, d=3, n=25, seed=1)
         assert report.kernel_dimension >= len(holomorphic_basis(3))
         assert report.max_principal_angle < 1e-8
+
+    @pytest.mark.parametrize("d, n, dim", [(3, 1, 24), (4, 3, 32), (6, 4, 93)])
+    def test_rank_short_angle_is_zero_by_construction(self, d, n, dim, gram_calls):
+        # null vectors exist, yet the kernel holds the holomorphic coordinate
+        # directions by construction: the angle is reported without a Gram matrix
+        report = two_point_probe(Complex2(0.1, 0.05j), P2, d=d, n=n, seed=7)
+        assert report.kernel_dimension == dim
+        assert report.null_vectors.shape[1] > 0
+        assert report.max_principal_angle == 0.0
+        assert gram_calls == []
+        assert _angle_to_holomorphic_span(report) < 1e-14
 
     def test_distinct_points_required(self):
         with pytest.raises(CollinearPoints):
