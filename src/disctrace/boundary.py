@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -61,6 +62,17 @@ class HermitianPolynomial:
     @property
     def degree(self) -> int:
         return max((_total_degree(k) for k in self.terms), default=0)
+
+    @cached_property
+    def nonholomorphic_terms(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The terms with beta != 0, split once: read-only arrays of their
+        exponent rows (n, 4) and coefficients (n,), and their top degree D
+        (n = D = 0 when f is holomorphic)."""
+        keys = [k for k in self.terms if k[2] + k[3] > 0]
+        e = np.array(keys, dtype=int).reshape(-1, 4)
+        c = np.array([self.terms[k] for k in keys], dtype=complex)
+        e.flags.writeable = c.flags.writeable = False
+        return e, c, int(e.sum(axis=1).max(initial=0))
 
     @staticmethod
     def monomial(alpha, beta, coeff: complex = 1.0):

@@ -65,10 +65,10 @@ def omega_tilde_basis(z1: complex, zeta0: complex):
     (3, *broadcast shape))."""
     # q = 1 - z1*conj(zeta0) in real arithmetic: numpy's SIMD complex
     # multiply can fuse multiply-adds, which would give array calls other
-    # bits than scalar ones.  The ufunc keeps q a numpy value, so 1/q is
-    # numpy's division for Python scalars too.
+    # bits than scalar ones.  The ufuncs keep p and q numpy values, so -1/p
+    # and 1/q are numpy's division for Python scalars too.
     x, y, s, t = np.real(z1), np.imag(z1), np.real(zeta0), np.imag(zeta0)
-    p = z1 - zeta0
+    p = np.subtract(z1, zeta0)
     q = np.subtract(1.0 - (x * s + y * t), 1j * (y * s - x * t))
     if np.any(np.abs(p) <= _POLE_EPS):
         raise SingularAtCenter("omega~ basis is singular at z1 = zeta0")

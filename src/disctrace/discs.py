@@ -13,6 +13,7 @@ which for |tau| = 1 is the projective class of the sphere conormal
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ _ORTHO_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StraightDisc:
     """Canonical straight disc tau -> a + tau*b.
 
@@ -37,13 +38,12 @@ class StraightDisc:
     b: Complex2
 
     def __post_init__(self):
-        av, bv = self.a.as_array(), self.b.as_array()
-        nb = np.linalg.norm(bv)
+        nb = self.b.norm()
         if nb <= 0:
             raise ValueError("disc direction must be nonzero")
-        if abs(np.sum(av * np.conj(bv))) > _ORTHO_TOL:
+        if abs(hermitian_inner(self.a, self.b)) > _ORTHO_TOL:
             raise ValueError("foot point is not orthogonal to the direction")
-        if abs(np.vdot(av, av).real + nb**2 - 1.0) > _ORTHO_TOL:
+        if abs(self.a.norm() ** 2 + nb**2 - 1.0) > _ORTHO_TOL:
             raise ValueError("|a|^2 + |b|^2 must be 1")
 
     def point(self, tau: complex) -> Complex2:
@@ -51,17 +51,19 @@ class StraightDisc:
 
     def parameter_of(self, p: Complex2) -> complex:
         """tau with A(tau) closest to p (exact when p is on the line)."""
-        d = Complex2(p.z1 - self.a.z1, p.z2 - self.a.z2)
-        return hermitian_inner(d, self.b) / hermitian_inner(self.b, self.b)
+        a, b = self.a, self.b
+        d = (p.z1 - a.z1) * b.z1.conjugate() + (p.z2 - a.z2) * b.z2.conjugate()
+        return d / (abs(b.z1) ** 2 + abs(b.z2) ** 2)
 
     def line_distance(self, p: Complex2) -> float:
         """Hermitian distance from p to the full complex line of the disc."""
         tau = self.parameter_of(p)
-        q = self.point(tau)
-        return Complex2(p.z1 - q.z1, p.z2 - q.z2).norm()
+        d1 = p.z1 - (self.a.z1 + tau * self.b.z1)
+        d2 = p.z2 - (self.a.z2 + tau * self.b.z2)
+        return math.sqrt(abs(d1) ** 2 + abs(d2) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftPoint:
     """A point (z, [zeta]) of the projectivized cotangent space PT*C^2."""
 
@@ -79,17 +81,17 @@ class LiftPoint:
 
 def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:
     """Straight disc cut by the line {p + t*v}."""
-    vv = v.as_array()
-    nv = np.linalg.norm(vv)
+    nv = v.norm()
     if nv == 0:
         raise ZeroDirection("line direction is zero")
-    pv = p.as_array()
-    a = pv - (np.sum(pv * np.conj(vv)) / nv**2) * vv
-    na2 = float(np.vdot(a, a).real)
+    t = hermitian_inner(p, v) / nv**2
+    a1, a2 = p.z1 - t * v.z1, p.z2 - t * v.z2
+    na2 = abs(a1) ** 2 + abs(a2) ** 2
     if na2 >= (1.0 - 1e-12):
-        raise LineMissesBall(f"line distance to origin {np.sqrt(na2):.6f}")
-    b = _canonical_phase(vv / nv) * np.sqrt(1.0 - na2)
-    return StraightDisc(Complex2.from_array(a), Complex2.from_array(b))
+        raise LineMissesBall(f"line distance to origin {math.sqrt(na2):.6f}")
+    u1, u2 = v.z1 / nv, v.z2 / nv
+    phase, nb = _canonical_phase(u1, u2), math.sqrt(1.0 - na2)
+    return StraightDisc(Complex2(a1, a2), Complex2(u1 * phase * nb, u2 * phase * nb))
 
 
 def disc_through_two_points(p: Complex2, q: Complex2):
@@ -132,14 +134,16 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point):
     """
     if z.norm() >= 1.0:
         raise ValueError("base point must be interior")
-    zv, zc = z.as_array(), zeta.as_array()
-    s = complex(np.sum(zc * zv))
-    disc = disc_from_line(z, Complex2.from_array(np.conj(zc) - np.conj(s) * zv))
+    zeta1, zeta2 = zeta.zeta1, zeta.zeta2
+    sc = (zeta1 * z.z1 + zeta2 * z.z2).conjugate()
+    direction = Complex2(zeta1.conjugate() - sc * z.z1, zeta2.conjugate() - sc * z.z2)
+    disc = disc_from_line(z, direction)
     tau0 = disc.parameter_of(z)
     # cp1_distance, in its cross-product form, from the lift class
     # [tau0*conj(a) + conj(b)] of the recovered disc to the unit zeta
-    w = tau0 * np.conj(disc.a.as_array()) + np.conj(disc.b.as_array())
-    err = min(1.0, float(abs(w[0] * zc[1] - w[1] * zc[0]) / np.linalg.norm(w)))
+    w1 = tau0 * disc.a.z1.conjugate() + disc.b.z1.conjugate()
+    w2 = tau0 * disc.a.z2.conjugate() + disc.b.z2.conjugate()
+    err = min(1.0, abs(w1 * zeta2 - w2 * zeta1) / Complex2(w1, w2).norm())
     if err >= 1e-10:
         raise NoSolution(
             f"no disc through ({z.z1}, {z.z2}) lifting to the given class "

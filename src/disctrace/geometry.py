@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ _NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny))
 _NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complex2:
     """A point of C^2 with coordinates (z1, z2)."""
 
@@ -34,7 +36,7 @@ class Complex2:
     z2: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.z1) and np.isfinite(self.z2)):
+        if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
             raise ValueError("Complex2 components must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -45,24 +47,24 @@ class Complex2:
         return Complex2(complex(v[0]), complex(v[1]))
 
     def norm(self) -> float:
-        return float(np.sqrt(abs(self.z1) ** 2 + abs(self.z2) ** 2))
+        return math.sqrt(abs(self.z1) ** 2 + abs(self.z2) ** 2)
 
 
 def hermitian_inner(u: Complex2, v: Complex2) -> complex:
     """Inner product <u, v>, conjugate-linear in v."""
-    return u.z1 * np.conj(v.z1) + u.z2 * np.conj(v.z2)
+    return u.z1 * v.z1.conjugate() + u.z2 * v.z2.conjugate()
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate v by a unit phase so its first component of modulus above
-    PHASE_EPS is real positive."""
-    for c in v:
+def _canonical_phase(c1: complex, c2: complex) -> complex:
+    """The unit phase that makes the first of c1, c2 of modulus above
+    PHASE_EPS real positive (1.0 if neither is)."""
+    for c in (c1, c2):
         if abs(c) > PHASE_EPS:
-            return v * (np.conj(c) / abs(c))
-    return v
+            return c.conjugate() / abs(c)
+    return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CP1Point:
     """A point of the complex projective line, stored on its canonical
     unit-norm representative."""
@@ -83,7 +85,8 @@ class CP1Point:
             parts = v.view(float)
             v = (parts / np.max(np.abs(parts))).view(complex)
             n = np.linalg.norm(v)
-        v = _canonical_phase(v / n)
+        v = v / n
+        v = v * _canonical_phase(v[0], v[1])
         object.__setattr__(self, "zeta1", complex(v[0]))
         object.__setattr__(self, "zeta2", complex(v[1]))
 

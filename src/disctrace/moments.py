@@ -135,13 +135,11 @@ def _nonholomorphic_coefficients(
     when f is holomorphic.  The boundary DFT of those monomials, contracted
     with their coefficients in f.
     """
-    keys = [k for k in f.terms if k[2] + k[3] > 0]
-    if not keys:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    e = np.array(keys)
-    D = int(e.sum(axis=1).max())
+    e, coeffs, D = f.nonholomorphic_terms
+    if not coeffs.size:
+        return coeffs, coeffs
     dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, D)[0]
-    c = dft @ np.array([f.terms[k] for k in keys]) / (2 * D + 2)
+    c = dft @ coeffs / (2 * D + 2)
     return c[: D + 1], c[-1 : -D - 1 : -1]
 
 

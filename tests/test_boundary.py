@@ -65,6 +65,18 @@ class TestHermitianPolynomial:
         assert HermitianPolynomial.monomial((2, 1), (0, 0)).is_holomorphic()
         assert not HermitianPolynomial.monomial((0, 0), (1, 0)).is_holomorphic()
 
+    @settings(max_examples=50, deadline=None)
+    @given(polys)
+    def test_nonholomorphic_terms_split(self, f):
+        e, c, D = f.nonholomorphic_terms
+        assert f.nonholomorphic_terms is f.nonholomorphic_terms  # split once
+        assert e.shape == (len(c), 4) and e.dtype == int and c.dtype == complex
+        assert not e.flags.writeable and not c.flags.writeable
+        split = {tuple(int(i) for i in k): ck for k, ck in zip(e, c)}
+        assert split == {k: ck for k, ck in f.terms.items() if k[2] + k[3] > 0}
+        assert D == max((sum(k) for k in split), default=0)
+        assert (len(c) == 0) == f.is_holomorphic()
+
     def test_json_round_trip(self, tmp_path):
         f = HermitianPolynomial({(1, 0, 0, 2): 0.5 - 1j, (0, 0, 0, 0): 2.0})
         path = tmp_path / "f.json"

@@ -211,12 +211,15 @@ class TestBroadcast:
         w = omega_tilde_basis(zeta, zeta0)
         pairings = [contract(wi, v) for wi in w]
         for k in range(len(z2)):
-            vk = pointing_direction(z2[k], zeta[k])
-            wk = omega_tilde_basis(zeta[k], zeta0[k])
-            assert np.array_equal(v[:, k], vk)
-            for wi, pi, wik in zip(w, pairings, wk):
-                assert np.array_equal(wi[:, k], wik)
-                assert pi[k] == contract(wik, vk)
+            scalars = (z2[k], zeta[k], zeta0[k])
+            # numpy scalars and Python complex numbers alike
+            for s2, s, s0 in [scalars, tuple(map(complex, scalars))]:
+                vk = pointing_direction(s2, s)
+                wk = omega_tilde_basis(s, s0)
+                assert np.array_equal(v[:, k], vk)
+                for wi, pi, wik in zip(w, pairings, wk):
+                    assert np.array_equal(wi[:, k], wik)
+                    assert pi[k] == contract(wik, vk)
 
     def test_guards_hold_for_every_element(self):
         circle = np.exp(2j * np.pi * np.arange(8) / 8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import disctrace
+from disctrace.boundary import HermitianPolynomial
 from disctrace.discs import (
     LiftPoint,
     StraightDisc,
@@ -20,7 +21,14 @@ from disctrace.errors import (
     LineMissesBall,
     ZeroDirection,
 )
-from disctrace.geometry import CP1Point, Complex2, cp1_distance, hermitian_inner
+from disctrace.geometry import (
+    PHASE_EPS,
+    CP1Point,
+    Complex2,
+    cp1_distance,
+    hermitian_inner,
+)
+from disctrace.moments import extension_value, lifted_value
 
 
 def random_interior(rng, rmax=0.9):
@@ -89,6 +97,17 @@ class TestDiscFromLine:
     def test_line_missing_ball(self):
         with pytest.raises(LineMissesBall):
             disc_from_line(Complex2(2.0, 0.0), Complex2(0.0, 1.0))
+
+    @pytest.mark.parametrize("v1", [0.0, 1e-15, -0.54e-14 + 0.72e-14j, 1.1e-14j, 0.3 - 0.4j])
+    def test_canonical_phase_matches_cp1(self, v1):
+        # the first component of b above PHASE_EPS in modulus is real
+        # positive, as in the canonical representative of CP1Point
+        v = Complex2(v1, -0.6 + 0.8j)
+        b = disc_from_line(Complex2(0.1, 0.2j), v).b
+        lead = b.z1 if abs(v1) > PHASE_EPS else b.z2
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15 * abs(lead)
+        rep = CP1Point(v.z1, v.z2).as_array()
+        assert np.allclose(b.as_array() / b.norm(), rep, rtol=0, atol=1e-15)
 
 
 class TestDiscThroughTwoPoints:
@@ -200,6 +219,82 @@ class TestDiscFromLiftPoint:
     def test_rejects_boundary_base(self):
         with pytest.raises(ValueError):
             disc_from_lift_point(Complex2(1.0, 0.0), CP1Point(1.0, 0.0))
+
+
+def _reference_disc_from_line(p, v):
+    """disc_from_line in numpy-array arithmetic: the foot point a and the
+    direction b, as arrays."""
+    pv, vv = np.array([p.z1, p.z2]), np.array([v.z1, v.z2])
+    nv = np.linalg.norm(vv)
+    a = pv - (np.vdot(vv, pv) / nv**2) * vv
+    u = vv / nv
+    c = u[0] if abs(u[0]) > PHASE_EPS else u[1]
+    return a, u * (np.conj(c) / abs(c)) * np.sqrt(1.0 - np.vdot(a, a).real)
+
+
+def _reference_disc_from_lift_point(z, zeta):
+    """disc_from_lift_point in numpy-array arithmetic: (a, b, tau0)."""
+    zv, zc = np.array([z.z1, z.z2]), zeta.as_array()
+    a, b = _reference_disc_from_line(z, Complex2(*(np.conj(zc) - np.conj(zc @ zv) * zv)))
+    return a, b, np.vdot(b, zv - a) / np.vdot(b, b)
+
+
+class TestAgainstArrayReference:
+    """The per-point path, in Python complex arithmetic, against the same
+    formulas in numpy-array arithmetic at 1000 random points.  Lift
+    inversion recovers the disc direction from a vector of length
+    (1 - |tau|^2)*|b|, so its tolerance grows by 1/(1 - |tau|^2)."""
+
+    def test_disc_from_line(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            p, v = random_interior(rng), random_direction(rng)
+            disc = disc_from_line(p, v)
+            a, b = _reference_disc_from_line(p, v)
+            assert np.max(np.abs(disc.a.as_array() - a)) <= 1e-15
+            assert np.max(np.abs(disc.b.as_array() - b)) <= 1e-15
+
+    def test_lift_round_trip_and_lifted_value(self):
+        # g + (|z1|^2 + |z2|^2)*h extends along every disc, and its
+        # non-holomorphic terms take the boundary-DFT path
+        f = HermitianPolynomial(
+            {(2, 1, 0, 0): 0.3 + 0.1j, (0, 3, 0, 0): -0.2, (0, 0, 0, 0): 0.5,
+             (2, 0, 1, 0): 0.4j, (1, 1, 0, 1): 0.4j}
+        )
+        scale = sum(abs(c) for c in f.terms.values())
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            P = random_interior(rng)
+            disc = disc_from_line(P, random_direction(rng))
+            tau = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            lp = lift(disc, tau)
+            tol = 1e-15 / (1.0 - abs(tau) ** 2)
+            rec, tau0 = disc_from_lift_point(lp.z, lp.zeta)
+            a, b, tau_ref = _reference_disc_from_lift_point(lp.z, lp.zeta)
+            assert np.max(np.abs(rec.a.as_array() - a)) <= tol
+            assert np.max(np.abs(rec.b.as_array() - b)) <= tol
+            # tau0 as a distance along the line
+            assert abs(tau0 - tau_ref) * np.linalg.norm(b) <= tol
+            ref = StraightDisc(Complex2(*a), Complex2(*b))
+            expected = extension_value(f, ref, tau_ref)
+            assert abs(lifted_value(f, P, lp) - expected) <= tol * scale
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Complex2(0.1, 0.2j),
+        lambda: CP1Point(1.0, 1j),
+        lambda: disc_from_line(Complex2(0.1, 0.2j), Complex2(1.0, 1j)),
+        lambda: lift(disc_from_line(Complex2(0.1, 0.2j), Complex2(1.0, 1j)), 0.3),
+    ],
+    ids=["Complex2", "CP1Point", "StraightDisc", "LiftPoint"],
+)
+def test_per_point_classes_have_slots(make):
+    # the benchmark and the lemma suite keep thousands of these
+    obj = make()
+    assert "__slots__" in type(obj).__dict__
+    assert not hasattr(obj, "__dict__")
 
 
 def test_import_leaves_scipy_out():

@@ -43,8 +43,14 @@ class TestComplex2:
         assert Complex2(3.0, 4.0).norm() == pytest.approx(5.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Complex2(np.inf, 0.0)
+        # as Python floats and complex numbers and as numpy scalars
+        for bad in [np.inf, float("nan"), float("-inf"), complex(0.5, float("nan")),
+                    complex(float("inf"), 0.0), np.complex128(complex(0.0, -np.inf)),
+                    np.complex128(complex(np.nan, 0.0))]:
+            with pytest.raises(ValueError):
+                Complex2(bad, 0.0)
+            with pytest.raises(ValueError):
+                Complex2(0.1j, bad)
 
 
 class TestHermitianInner:

@@ -265,6 +265,27 @@ class TestAgainstExactRestriction:
             assert type(lifted) is complex
             assert abs(lifted - exact.eval_nonnegative(tau)) <= 1e-12 * scale
 
+    def test_extendible_mixed_values(self):
+        # g + (|z1|^2 + |z2|^2 - 1)*h is g on the sphere: mixed terms, no
+        # negative coefficients, extension values at the default tolerance
+        rng = np.random.default_rng(7)
+        for d in range(1, 11):
+            g = _random_polynomial(rng, d, "holomorphic")
+            h = _random_polynomial(rng, d, "mixed")
+            h1, h2 = (
+                HermitianPolynomial({tuple(np.add(k, s)): c for k, c in h.terms.items()})
+                for s in [(1, 0, 1, 0), (0, 1, 0, 1)]
+            )
+            f = g + h1 + h2 + (-1.0) * h
+            scale = sum(abs(c) for c in f.terms.values())
+            for _ in range(4):
+                disc = random_disc(rng)
+                tau = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
+                exact = restrict_to_disc(f, disc)
+                assert exact.max_negative_modulus() <= 1e-12 * scale
+                value = extension_value(f, disc, tau)
+                assert abs(value - exact.eval_nonnegative(tau)) <= 1e-12 * scale
+
     def test_sphere_relation(self):
         # z1 zbar1 + z2 zbar2 - 1 vanishes on the sphere, so its restriction
         # is zero and it extends by zero along every disc
