@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .boundary import MAX_DEGREE, HermitianPolynomial
@@ -21,7 +22,7 @@ from .errors import (
     NotExtendible,
 )
 from .geometry import Complex2
-from .moments import extendibility_test, extension_value
+from .moments import DEFAULT_MOMENT_TOL, extendibility_test, extension_value
 from .verification import (
     extension_consistency,
     kernel_experiment,
@@ -31,6 +32,17 @@ from .verification import (
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes "-0.3,0.1" as a value, not an option: no
+    option starts with a minus sign and a digit, and argparse itself lets
+    through only plain negative numbers."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_point(text: str) -> Complex2:
@@ -75,9 +87,7 @@ def _dump(doc: dict, path: str | None, to_stdout: bool) -> None:
 
 def _load_function(path: str) -> HermitianPolynomial:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return HermitianPolynomial.from_json_dict(doc)
+        return HermitianPolynomial.load(path)
     except FileNotFoundError as exc:
         raise UsageError(f"function file not found: {path}") from exc
     except (
@@ -179,7 +189,7 @@ def cmd_extend(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="disctrace",
         description="Moment tests and nullspace experiments for straight "
         "discs of the unit ball in C^2.",
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--function", required=True)
     t.add_argument("--point", required=True)
     t.add_argument("--discs", type=int, default=100)
-    t.add_argument("--tol", type=float, default=1e-10)
+    t.add_argument("--tol", type=float, default=DEFAULT_MOMENT_TOL)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_test)
 

@@ -13,6 +13,7 @@ which for |tau| = 1 is the projective class of the sphere conormal
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -100,24 +101,31 @@ def disc_through_two_points(p: Complex2, q: Complex2):
     At least one point must be interior; a second point on the sphere gets
     |tau| = 1.
     """
-    dv = np.array([q.z1 - p.z1, q.z2 - p.z2], dtype=complex)
-    if np.linalg.norm(dv) == 0:
+    dv = q - p
+    if dv.norm() == 0:
         raise CoincidentPoints("disc through two points needs distinct points")
     if min(p.norm(), q.norm()) >= 1.0 - _BOUNDARY_TOL:
         raise LineMissesBall("at least one of the points must be interior")
-    disc = disc_from_line(p, Complex2.from_array(dv))
+    disc = disc_from_line(p, dv)
     return disc, disc.parameter_of(p), disc.parameter_of(q)
 
 
 def boundary_point(A: StraightDisc, theta: float) -> Complex2:
     """Boundary circle point A(e^{i theta}), on the unit sphere."""
-    return A.point(np.exp(1j * theta))
+    return A.point(cmath.exp(1j * theta))
+
+
+def _lift_class(A: StraightDisc, tau: complex) -> tuple[complex, complex]:
+    """Unnormalized representative tau*conj(a) + conj(b) of the lift class."""
+    return (
+        tau * A.a.z1.conjugate() + A.b.z1.conjugate(),
+        tau * A.a.z2.conjugate() + A.b.z2.conjugate(),
+    )
 
 
 def lift(A: StraightDisc, tau: complex) -> LiftPoint:
     """Lift point A*(tau) = (A(tau), [tau*conj(a) + conj(b)])."""
-    zeta = tau * np.conj(A.a.as_array()) + np.conj(A.b.as_array())
-    return LiftPoint(A.point(tau), CP1Point(zeta[0], zeta[1]))
+    return LiftPoint(A.point(tau), CP1Point(*_lift_class(A, tau)))
 
 
 def disc_from_lift_point(z: Complex2, zeta: CP1Point):
@@ -141,8 +149,7 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point):
     tau0 = disc.parameter_of(z)
     # cp1_distance, in its cross-product form, from the lift class
     # [tau0*conj(a) + conj(b)] of the recovered disc to the unit zeta
-    w1 = tau0 * disc.a.z1.conjugate() + disc.b.z1.conjugate()
-    w2 = tau0 * disc.a.z2.conjugate() + disc.b.z2.conjugate()
+    w1, w2 = _lift_class(disc, tau0)
     err = min(1.0, abs(w1 * zeta2 - w2 * zeta1) / Complex2(w1, w2).norm())
     if err >= 1e-10:
         raise NoSolution(

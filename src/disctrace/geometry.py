@@ -30,21 +30,23 @@ _NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max))
 
 @dataclass(frozen=True, slots=True)
 class Complex2:
-    """A point of C^2 with coordinates (z1, z2)."""
+    """A point of C^2 with coordinates (z1, z2), stored as Python complex."""
 
     z1: complex
     z2: complex
 
     def __post_init__(self):
+        # cmath.isfinite raises TypeError for a str, which complex() would parse
         if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
             raise ValueError("Complex2 components must be finite")
+        object.__setattr__(self, "z1", complex(self.z1))
+        object.__setattr__(self, "z2", complex(self.z2))
+
+    def __sub__(self, other: "Complex2") -> "Complex2":
+        return Complex2(self.z1 - other.z1, self.z2 - other.z2)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.z1, self.z2], dtype=complex)
-
-    @staticmethod
-    def from_array(v) -> "Complex2":
-        return Complex2(complex(v[0]), complex(v[1]))
 
     def norm(self) -> float:
         return math.sqrt(abs(self.z1) ** 2 + abs(self.z2) ** 2)
@@ -150,7 +152,7 @@ class BallAutomorphism:
     def inverse(self) -> "BallAutomorphism":
         # (phi_a . U)^{-1} = U^* . phi_a = phi_{U^* a} . U^*
         Ust = self.U.conj().T
-        return BallAutomorphism(Complex2.from_array(Ust @ self.a.as_array()), Ust)
+        return BallAutomorphism(Complex2(*(Ust @ self.a.as_array())), Ust)
 
 
 def apply_automorphism(phi: BallAutomorphism, z: Complex2) -> Complex2:
@@ -158,7 +160,7 @@ def apply_automorphism(phi: BallAutomorphism, z: Complex2) -> Complex2:
     if z.norm() > 1.0 + 1e-12:
         raise OutsideClosedBall(f"|z| = {z.norm():.6f} > 1")
     w = _involution(phi.a.as_array(), phi.U @ z.as_array())
-    return Complex2.from_array(w)
+    return Complex2(*w)
 
 
 def normalize_configuration(P1: Complex2, P2: Complex2) -> BallAutomorphism:
@@ -168,7 +170,7 @@ def normalize_configuration(P1: Complex2, P2: Complex2) -> BallAutomorphism:
     If the input is already in that normal form the identity is returned;
     otherwise P1 is moved to the origin (t = 0) and P2 onto the z2-axis.
     """
-    if (P1.as_array() == P2.as_array()).all():
+    if P1 == P2:
         raise CoincidentPoints("normalize_configuration needs distinct points")
     if P1.norm() >= 1.0 or P2.norm() >= 1.0:
         raise ValueError("both points must be interior")
@@ -188,4 +190,4 @@ def normalize_configuration(P1: Complex2, P2: Complex2) -> BallAutomorphism:
     c = np.array([np.conj(qh[1]), -np.conj(qh[0])])
     U = np.array([np.conj(c), np.conj(qh)])
     # U . phi_{P1} = phi_{U P1} . U  (unitary equivariance of the involution)
-    return BallAutomorphism(Complex2.from_array(U @ P1.as_array()), U)
+    return BallAutomorphism(Complex2(*(U @ P1.as_array())), U)

@@ -34,6 +34,7 @@ from .geometry import (
     Complex2,
     apply_automorphism,
     cp1_distance,
+    hermitian_inner,
 )
 from .moments import _boundary_dft, extension_value
 
@@ -241,13 +242,13 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
 
 def _assert_general_position(points) -> None:
     """Pairwise distinct points, three of them not on one complex line."""
-    d = [p.as_array() - points[0].as_array() for p in points[1:]]
-    if d and np.linalg.norm(d[0]) == 0:
+    d = [p - points[0] for p in points[1:]]
+    if d and d[0].norm() == 0:
         raise CollinearPoints("points must be pairwise distinct")
     if len(d) == 2:
-        u = d[0] / np.linalg.norm(d[0])
-        resid = d[1] - np.sum(d[1] * np.conj(u)) * u
-        if np.linalg.norm(resid) < 1e-10:
+        u, v = d
+        t = hermitian_inner(v, u) / u.norm() ** 2
+        if (v - Complex2(t * u.z1, t * u.z2)).norm() < 1e-10:
             raise CollinearPoints("the three points lie on one complex line")
 
 
@@ -529,21 +530,12 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
     worst = 0.0
     for _ in range(100):
         p, q = random_interior_point(rng), random_interior_point(rng)
-        if Complex2(p.z1 - q.z1, p.z2 - q.z2).norm() < 1e-6:
+        if (p - q).norm() < 1e-6:
             continue
         dpq, _, _ = disc_through_two_points(p, q)
         dqp, _, _ = disc_through_two_points(q, p)
-        diff = np.max(
-            np.abs(
-                np.concatenate(
-                    [
-                        dpq.a.as_array() - dqp.a.as_array(),
-                        dpq.b.as_array() - dqp.b.as_array(),
-                    ]
-                )
-            )
-        )
-        worst = max(worst, float(diff))
+        da, db = dpq.a - dqp.a, dpq.b - dqp.b
+        worst = max(worst, abs(da.z1), abs(da.z2), abs(db.z1), abs(db.z2))
     add("disc_canonicalization_symmetry", worst, 1e-12)
 
     # lifts of discs through the origin are constant in tau
@@ -587,8 +579,7 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
         phi = BallAutomorphism(a, U)
         imgs = [apply_automorphism(phi, boundary_point(disc, t)) for t in th[::4]]
         sphere_res = max(abs(w.norm() - 1.0) for w in imgs)
-        v = Complex2(imgs[1].z1 - imgs[0].z1, imgs[1].z2 - imgs[0].z2)
-        img_disc = disc_from_line(imgs[0], v)
+        img_disc = disc_from_line(imgs[0], imgs[1] - imgs[0])
         line_res = max(img_disc.line_distance(w) for w in imgs)
         worst = max(worst, float(sphere_res), float(line_res))
     add("automorphism_disc_equivariance", worst, 1e-10)
@@ -679,7 +670,7 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
     while len(ranks) < 100:
         P1 = random_interior_point(rng, rmax=0.7)
         P2 = random_interior_point(rng, rmax=0.7)
-        if Complex2(P1.z1 - P2.z1, P1.z2 - P2.z2).norm() < 0.05:
+        if (P1 - P2).norm() < 0.05:
             continue
         disc1 = disc_from_line(P1, random_direction(rng))
         if disc1.line_distance(P2) < 0.05:

@@ -163,6 +163,44 @@ class TestExtendCommand:
                      *SCENE, "--at", "2,0"]) == 2
 
 
+class TestNegativeCoordinates:
+    """A point whose first coordinate is negative starts with "-", as an
+    option does; it still parses in --points, --point and --at."""
+
+    def test_kernel_points(self, capsys):
+        rc = main(["kernel", "--points", "-0.3,0.1", "0.5,0", "0,0.5",
+                   "--degree", "2", "--discs", "20", "--seed", "7", "--json-only"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["points"][0] == [-0.3, 0.0, 0.1, 0.0]
+        assert doc["kernel_dimension"] == 6
+
+    def test_test_point(self, holomorphic_file, capsys):
+        rc = main(["test", "--function", holomorphic_file, "--point", "-0.5,0",
+                   "--discs", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip().endswith("summary,pass")
+
+    def test_extend_points_and_at(self, holomorphic_file, capsys):
+        rc = main(["extend", "--function", holomorphic_file, "--points",
+                   "-0.3,0.1", "0.5,0", "0,0.5", "--at", "-0.2,-0.1;0.1,0",
+                   "--discs", "8"])
+        assert rc == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        value = complex(*map(float, out[0].split(",")[1:]))
+        # z1^2 z2 + 0.5 at (-0.2 - 0.1i, 0.1)
+        assert value == pytest.approx((-0.2 - 0.1j) ** 2 * 0.1 + 0.5, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "points", [["-2,0", "0.5,0", "0,0.5"], ["-0.3,0.1;2", "0.5,0", "0,0.5"]],
+        ids=["exterior", "malformed"],
+    )
+    def test_bad_negative_point_is_usage_error(self, points, capsys):
+        assert main(["kernel", "--points", *points, "--degree", "2",
+                     "--discs", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDeterminism:
     def run_all(self, capsys, holo):
         outputs = []

@@ -267,7 +267,7 @@ class TestFamilyGraph:
             zv = z.as_array()
 
             def z3(w):
-                return family_class(P, Complex2.from_array(w)).affine
+                return family_class(P, Complex2(*w)).affine
 
             fd = np.array([(z3(zv + h * u) - z3(zv - h * u)) / (2 * h) for u in units])
             T = family_tangent(P, z)

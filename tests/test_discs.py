@@ -31,6 +31,14 @@ from disctrace.geometry import (
 from disctrace.moments import extension_value, lifted_value
 
 
+# g + (|z1|^2 + |z2|^2)*h extends along every disc, and its
+# non-holomorphic terms take the boundary-DFT path
+EXTENDS_ALONG_EVERY_DISC = HermitianPolynomial(
+    {(2, 1, 0, 0): 0.3 + 0.1j, (0, 3, 0, 0): -0.2, (0, 0, 0, 0): 0.5,
+     (2, 0, 1, 0): 0.4j, (1, 1, 0, 1): 0.4j}
+)
+
+
 def random_interior(rng, rmax=0.9):
     while True:
         v = rng.uniform(-rmax, rmax, size=4)
@@ -255,12 +263,7 @@ class TestAgainstArrayReference:
             assert np.max(np.abs(disc.b.as_array() - b)) <= 1e-15
 
     def test_lift_round_trip_and_lifted_value(self):
-        # g + (|z1|^2 + |z2|^2)*h extends along every disc, and its
-        # non-holomorphic terms take the boundary-DFT path
-        f = HermitianPolynomial(
-            {(2, 1, 0, 0): 0.3 + 0.1j, (0, 3, 0, 0): -0.2, (0, 0, 0, 0): 0.5,
-             (2, 0, 1, 0): 0.4j, (1, 1, 0, 1): 0.4j}
-        )
+        f = EXTENDS_ALONG_EVERY_DISC
         scale = sum(abs(c) for c in f.terms.values())
         rng = np.random.default_rng(12)
         for _ in range(1000):
@@ -295,6 +298,31 @@ def test_per_point_classes_have_slots(make):
     obj = make()
     assert "__slots__" in type(obj).__dict__
     assert not hasattr(obj, "__dict__")
+
+
+def test_point_arithmetic_ignores_the_callers_number_type():
+    # Complex2 stores Python complex, so a lift point made from a numpy tau
+    # takes the same arithmetic path as one made from the same complex tau
+    def bits(v):
+        return v.real.hex(), v.imag.hex()
+
+    f = EXTENDS_ALONG_EVERY_DISC
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        P = random_interior(rng)
+        disc = disc_from_line(P, random_direction(rng))
+        tau = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+        lp = lift(disc, tau)
+        assert type(lp.z.z1) is complex and type(lp.z.z2) is complex
+        expected = lifted_value(f, P, lift(disc, complex(tau)))
+        assert bits(lifted_value(f, P, lp)) == bits(expected)
+    for bad in ["1", None]:
+        with pytest.raises(TypeError):
+            Complex2(bad, 0.0)
+    for bad in [np.nan, float("nan"), np.complex128(complex(0.0, np.inf)),
+                complex(float("-inf"), 0.0)]:
+        with pytest.raises(ValueError):
+            Complex2(0.0, bad)
 
 
 def test_import_leaves_scipy_out():

@@ -436,11 +436,11 @@ class TestLiftPairMinDistance:
         moved = 0
         for _ in range(50):
             v = random_direction(rng).as_array()
-            d1 = disc_from_line(random_interior_point(rng, rmax=0.6), Complex2.from_array(v))
+            d1 = disc_from_line(random_interior_point(rng, rmax=0.6), Complex2(*v))
             tau = taus.flat[rng.integers(taus.size)]
             P = d1.point(tau)
             w = v + 3e-2 * random_direction(rng).as_array()
-            d2 = disc_from_line(P, Complex2.from_array(w))
+            d2 = disc_from_line(P, Complex2(*w))
             base, _ = verification._lift_curve_samples(d1, [tau])
             assert np.linalg.norm(base[0] - P.as_array()) < 1e-3
             expected = broadcast_min_distance(d1, d2, P)
