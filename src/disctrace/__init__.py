@@ -25,7 +25,6 @@ from .geometry import (
     apply_automorphism,
     cp1_distance,
     hermitian_inner,
-    normalize_configuration,
 )
 from .moments import (
     ExtendibilityReport,
@@ -79,7 +78,6 @@ __all__ = [
     "lift",
     "lifted_value",
     "normal_form",
-    "normalize_configuration",
     "numeric_moments",
     "one_point_control",
     "reduced_basis",

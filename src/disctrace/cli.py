@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .boundary import MAX_DEGREE, HermitianPolynomial
+from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
 from .discs import disc_through_two_points
 from .errors import (
     CollinearPoints,
@@ -29,6 +29,12 @@ from .verification import (
     lemma_suite,
     sample_disc_family,
 )
+
+# a disc family holds one Python object per disc; the kernel command's
+# stability run also builds a complex moment matrix of 3 * 2n * d rows
+_MAX_DISCS = 100_000
+_MAX_MATRIX_BYTES = 2**30
+
 
 class UsageError(Exception):
     pass
@@ -101,6 +107,17 @@ def _check_degree(d: int) -> None:
         raise UsageError(f"degree must be in [0, {MAX_DEGREE}]")
 
 
+def _check_discs(n: int, limit: int = _MAX_DISCS) -> None:
+    if not 1 <= n <= limit:
+        raise UsageError(f"--discs must be in [1, {limit}]")
+
+
+def _kernel_disc_limit(d: int) -> int:
+    """The largest --discs whose doubled moment matrix fits in 1 GiB."""
+    per_disc = 16 * 3 * 2 * d * len(reduced_basis(d))
+    return min(_MAX_DISCS, _MAX_MATRIX_BYTES // per_disc) if d else _MAX_DISCS
+
+
 def _check_tolerance(flag: str, tol: float) -> None:
     # the chained comparison is false for nan as well as for <= 0 and inf
     if not 0.0 < tol < float("inf"):
@@ -109,8 +126,7 @@ def _check_tolerance(flag: str, tol: float) -> None:
 
 def cmd_kernel(args) -> int:
     _check_degree(args.degree)
-    if args.discs < 1:
-        raise UsageError("--discs must be at least 1")
+    _check_discs(args.discs, _kernel_disc_limit(args.degree))
     points = [parse_interior_point(t) for t in args.points]
     try:
         report = kernel_experiment(
@@ -133,8 +149,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_test(args) -> int:
     _check_tolerance("--tol", args.tol)
-    if args.discs < 1:
-        raise UsageError("--discs must be at least 1")
+    _check_discs(args.discs)
     f = _load_function(args.function)
     P = parse_interior_point(args.point)
     discs = sample_disc_family(P, args.discs, args.seed)
@@ -156,8 +171,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_extend(args) -> int:
     _check_tolerance("--tol", args.tol)
-    if args.discs < 1:
-        raise UsageError("--discs must be at least 1")
+    _check_discs(args.discs)
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)

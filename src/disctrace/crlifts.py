@@ -1,5 +1,5 @@
-"""Conormal bases, pointing directions, contraction transport, transversality
-and direction sweeping for the lifted disc families in C^3.
+"""Conormal bases, pointing directions, transversality and direction
+sweeping for the lifted disc families in C^3.
 
 C^3 carries the chart coordinates (z1, z2, z3) of PT*C^2 with
 z3 = zeta2/zeta1.  The union of the lifts of the discs through the origin
@@ -21,7 +21,6 @@ from .errors import (
     BoundaryParameterOffCircle,
     ChartEvaluationFailure,
     CurveThroughOrigin,
-    DegenerateComplement,
     PoleAtAxis,
     SingularAtCenter,
     SingularAtReflectedPole,
@@ -104,33 +103,6 @@ def contract(w: Covector3, v: Vector3):
     a complex for single vectors, an array for stacks of them."""
     s = np.sum(np.asarray(w) * np.asarray(v), axis=0)
     return complex(s) if s.ndim == 0 else s
-
-
-def transported_direction(
-    v: Vector3,
-    zeta: complex,
-    zeta_Q: complex,
-    zeta0: complex,
-    complement_basis,
-) -> Vector3:
-    """Transport the extendibility direction v from the boundary parameter
-    zeta to the axis point zeta_Q: the real pairings with the omega~ basis
-    are constant, so solve for the representative in the given complement.
-    """
-    w1s, w2s = omega_tilde_basis(zeta, zeta0)
-    w1t, w2t = omega_tilde_basis(zeta_Q, zeta0)
-    rhs = np.array([contract(w1s, v).real, contract(w2s, v).real])
-    e1, e2 = complement_basis
-    M = np.array(
-        [
-            [contract(w1t, e1).real, contract(w1t, e2).real],
-            [contract(w2t, e1).real, contract(w2t, e2).real],
-        ]
-    )
-    if np.linalg.cond(M) > 1e12:
-        raise DegenerateComplement("transport system is numerically singular")
-    x = np.linalg.solve(M, rhs)
-    return x[0] * np.asarray(e1) + x[1] * np.asarray(e2)
 
 
 def _sweep_curve(z2: complex, zeta0: complex) -> np.ndarray:

@@ -17,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoincidentPoints, LineMissesBall, NoSolution, ZeroDirection
 from .geometry import CP1Point, Complex2, _canonical_phase, hermitian_inner
 
@@ -75,9 +73,6 @@ class LiftPoint:
     def z3(self) -> complex:
         """Affine chart coordinate zeta2/zeta1."""
         return self.zeta.affine
-
-    def as_c3(self) -> np.ndarray:
-        return np.array([self.z.z1, self.z.z2, self.z3], dtype=complex)
 
 
 def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:

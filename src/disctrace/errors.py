@@ -44,10 +44,6 @@ class BoundaryParameterOffCircle(DiscTraceError):
     """Boundary parameter does not lie on the unit circle."""
 
 
-class DegenerateComplement(DiscTraceError):
-    """Transport system is numerically singular."""
-
-
 class CurveThroughOrigin(DiscTraceError):
     """Sweep curve passes through the origin; refine the sampling."""
 

@@ -8,7 +8,7 @@ Conventions used throughout the package:
   above ``PHASE_EPS`` is real positive, so projective equality is plain
   componentwise comparison;
 * a ball automorphism is stored as (involution at a) composed with a
-  unitary, which keeps composition and inversion stable near the boundary.
+  unitary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints, OutsideClosedBall
+from .errors import OutsideClosedBall
 
 PHASE_EPS = 1e-14
 # np.linalg.norm squares without scaling; outside this range |v|^2 leaves
@@ -140,20 +140,6 @@ class BallAutomorphism:
             raise ValueError("automorphism center must be interior")
         object.__setattr__(self, "U", U)
 
-    @staticmethod
-    def identity() -> "BallAutomorphism":
-        # phi_0 is z -> -z, so the identity needs the unitary factor -I
-        return BallAutomorphism(Complex2(0.0, 0.0), -np.eye(2, dtype=complex))
-
-    @staticmethod
-    def involution_at(a: Complex2) -> "BallAutomorphism":
-        return BallAutomorphism(a, np.eye(2, dtype=complex))
-
-    def inverse(self) -> "BallAutomorphism":
-        # (phi_a . U)^{-1} = U^* . phi_a = phi_{U^* a} . U^*
-        Ust = self.U.conj().T
-        return BallAutomorphism(Complex2(*(Ust @ self.a.as_array())), Ust)
-
 
 def apply_automorphism(phi: BallAutomorphism, z: Complex2) -> Complex2:
     """Apply phi to a point of the closed ball."""
@@ -161,33 +147,3 @@ def apply_automorphism(phi: BallAutomorphism, z: Complex2) -> Complex2:
         raise OutsideClosedBall(f"|z| = {z.norm():.6f} > 1")
     w = _involution(phi.a.as_array(), phi.U @ z.as_array())
     return Complex2(*w)
-
-
-def normalize_configuration(P1: Complex2, P2: Complex2) -> BallAutomorphism:
-    """Automorphism sending P1 to (t, 0) with t real in (-1, 1) and P2 to
-    (0, s) with 0 < |s| < 1.
-
-    If the input is already in that normal form the identity is returned;
-    otherwise P1 is moved to the origin (t = 0) and P2 onto the z2-axis.
-    """
-    if P1 == P2:
-        raise CoincidentPoints("normalize_configuration needs distinct points")
-    if P1.norm() >= 1.0 or P2.norm() >= 1.0:
-        raise ValueError("both points must be interior")
-
-    already = (
-        abs(P1.z2) <= PHASE_EPS
-        and abs(P1.z1.imag) <= PHASE_EPS
-        and abs(P2.z1) <= PHASE_EPS
-        and abs(P2.z2) > PHASE_EPS
-    )
-    if already:
-        return BallAutomorphism.identity()
-
-    q = _involution(P1.as_array(), P2.as_array())
-    qh = q / np.linalg.norm(q)
-    # U q^ = (0, 1); first row spans the orthogonal complement
-    c = np.array([np.conj(qh[1]), -np.conj(qh[0])])
-    U = np.array([np.conj(c), np.conj(qh)])
-    # U . phi_{P1} = phi_{U P1} . U  (unitary equivariance of the involution)
-    return BallAutomorphism(Complex2(*(U @ P1.as_array())), U)

@@ -189,13 +189,15 @@ def extension_value(
     if not abs(tau0) < 1.0:  # also rejects nan
         raise ValueError("extension is evaluated at interior parameters")
     pos, neg = _nonholomorphic_coefficients(f, A)
-    m = _max_modulus(neg)
-    if m > tol:
-        raise NotExtendible(f"max negative coefficient modulus {m:.3e} > {tol:.1e}")
     z = A.point(tau0)
     value = sum(
         c * z.z1**a1 * z.z2**a2 for (a1, a2, b1, b2), c in f.terms.items() if b1 + b2 == 0
     )
+    if not neg.size:  # holomorphic f: no moment to test, nothing to add
+        return complex(value)
+    m = _max_modulus(neg)
+    if m > tol:
+        raise NotExtendible(f"max negative coefficient modulus {m:.3e} > {tol:.1e}")
     return complex(value + np.polyval(pos[::-1], tau0))
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from disctrace.boundary import HermitianPolynomial
+from disctrace import cli
+from disctrace.boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
 from disctrace.cli import UsageError, format_point, main, parse_point
 from disctrace.geometry import Complex2
 
@@ -271,6 +272,43 @@ class TestUsageErrors:
             ["extend", "--function", holomorphic_file, "--points", *SCENE,
              "--at", "0.2,0.1", "--discs", "0"], capsys,
         )
+
+    @staticmethod
+    def forbid_sampling(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the --discs check")
+
+        monkeypatch.setattr(cli, "sample_disc_family", fail)
+        monkeypatch.setattr(cli, "kernel_experiment", fail)
+
+    def test_kernel_disc_limit_is_the_1_gib_matrix(self):
+        # the doubled run's complex matrix: 3 points, 2n discs, d rows each
+        for d in range(4, MAX_DEGREE + 1):
+            limit = cli._kernel_disc_limit(d)
+            per_disc = 16 * 3 * 2 * d * len(reduced_basis(d))
+            assert limit * per_disc <= 2**30 < (limit + 1) * per_disc
+        assert cli._kernel_disc_limit(12) == 1138
+
+    @pytest.mark.parametrize(
+        "degree,discs", [("12", "1139"), ("12", "100000"), ("1", "100001")]
+    )
+    def test_kernel_too_many_discs(self, degree, discs, monkeypatch, capsys):
+        self.forbid_sampling(monkeypatch)
+        self.assert_usage_error(
+            ["kernel", "--points", *SCENE, "--degree", degree, "--discs", discs],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["test", "extend"])
+    def test_too_many_discs(self, command, holomorphic_file, monkeypatch, capsys):
+        self.forbid_sampling(monkeypatch)
+        argv = {
+            "test": ["test", "--function", holomorphic_file, "--point",
+                     "0.3,0.2"],
+            "extend": ["extend", "--function", holomorphic_file, "--points",
+                       *SCENE, "--at", "0.2,0.1"],
+        }[command]
+        self.assert_usage_error([*argv, "--discs", "100001"], capsys)
 
     def test_function_above_degree_cap(self, tmp_path, capsys):
         path = tmp_path / "deg13.json"

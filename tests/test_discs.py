@@ -183,7 +183,7 @@ class TestLift:
         disc = disc_from_line(Complex2(0.3, 0.0), Complex2(0.0, 1.0))
         lp = lift(disc, 0.2)
         assert isinstance(lp, LiftPoint)
-        assert lp.as_c3().shape == (3,)
+        assert lp.z == disc.point(0.2)
         assert lp.z3 == pytest.approx(lp.zeta.affine)
 
 

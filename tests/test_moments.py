@@ -149,6 +149,19 @@ class TestExtensionValue:
                 z.z1**2 * z.z2, abs=1e-12
             )
 
+    def test_holomorphic_value_is_direct_evaluation(self):
+        # a holomorphic f is its own extension: nothing is added to f(A(tau))
+        f = HermitianPolynomial(
+            {(2, 1, 0, 0): 0.5 - 1j, (0, 3, 0, 0): 2.0, (0, 0, 0, 0): -0.25}
+        )
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            disc = random_disc(rng)
+            tau = rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform())
+            z = disc.point(tau)
+            direct = sum(c * z.z1**a1 * z.z2**a2 for (a1, a2, _, _), c in f.terms.items())
+            assert extension_value(f, disc, tau) == direct
+
     def test_not_extendible(self):
         f = HermitianPolynomial.monomial((0, 1), (0, 1))
         disc, tau_z, _ = disc_through_two_points(Complex2(0.0, 0.5), Complex2(1.0, 0.0))
