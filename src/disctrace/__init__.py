@@ -5,7 +5,6 @@ from .boundary import (
     HermitianPolynomial,
     evaluate,
     holomorphic_defect,
-    normal_form,
     reduced_basis,
     sphere_inner_product,
 )
@@ -32,7 +31,6 @@ from .moments import (
     extendibility_test,
     extension_value,
     lifted_value,
-    numeric_moments,
     restrict_to_disc,
 )
 from .verification import (
@@ -77,8 +75,6 @@ __all__ = [
     "lemma_suite",
     "lift",
     "lifted_value",
-    "normal_form",
-    "numeric_moments",
     "one_point_control",
     "reduced_basis",
     "restrict_to_disc",

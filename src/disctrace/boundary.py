@@ -91,14 +91,6 @@ class HermitianPolynomial:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "HermitianPolynomial":
-        return HermitianPolynomial(
-            {(k[2], k[3], k[0], k[1]): np.conj(c) for k, c in self.terms.items()}
-        )
-
-    def is_holomorphic(self) -> bool:
-        return all(k[2] == 0 and k[3] == 0 for k in self.terms)
-
     def to_json_dict(self) -> dict:
         return {
             "terms": [
@@ -151,27 +143,6 @@ def evaluate(f: HermitianPolynomial, z: Complex2) -> complex:
     for (a1, a2, b1, b2), c in f.terms.items():
         total += c * z1**a1 * z2**a2 * w1**b1 * w2**b2
     return complex(total)
-
-
-def normal_form(f: HermitianPolynomial) -> HermitianPolynomial:
-    """Rewrite z1*conj(z1) -> 1 - z2*conj(z2) to a fixed point; the result
-    has min(alpha1, beta1) = 0 in every monomial and the same values on the
-    sphere."""
-    pending = dict(f.terms)
-    out: dict[MultiIndexPair, complex] = {}
-    while pending:
-        (a1, a2, b1, b2), c = pending.popitem()
-        if c == 0:
-            continue
-        if a1 >= 1 and b1 >= 1:
-            for key, dc in (
-                ((a1 - 1, a2, b1 - 1, b2), c),
-                ((a1 - 1, a2 + 1, b1 - 1, b2 + 1), -c),
-            ):
-                pending[key] = pending.get(key, 0.0) + dc
-        else:
-            out[(a1, a2, b1, b2)] = out.get((a1, a2, b1, b2), 0.0) + c
-    return HermitianPolynomial(out)
 
 
 def reduced_basis(d: int) -> list[MultiIndexPair]:

@@ -214,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument(
-            "--json-only", action="store_true", help="print the report to stdout"
+            "--json-only",
+            action="store_true",
+            help="with --out, also print the report to stdout (without --out "
+            "it is always printed)",
         )
 
     k = sub.add_parser("kernel", help="three-point nullspace experiment")

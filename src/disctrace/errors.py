@@ -64,10 +64,6 @@ class DegreeOverflow(DiscTraceError):
 
 
 # moments
-class NonFiniteSample(DiscTraceError):
-    """A boundary sample is NaN or infinite."""
-
-
 class NotExtendible(DiscTraceError):
     """Function fails the moment test along the disc."""
 

@@ -20,13 +20,12 @@ them with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .boundary import HermitianPolynomial
 from .discs import StraightDisc, disc_from_lift_point, LiftPoint
-from .errors import NonFiniteSample, NotExtendible, NotInFamily
+from .errors import NotExtendible, NotInFamily
 from .geometry import Complex2
 
 DEFAULT_MOMENT_TOL = 1e-10
@@ -63,10 +62,8 @@ class LaurentPolynomial:
 
 @dataclass(frozen=True)
 class ExtendibilityReport:
-    disc: StraightDisc
     max_negative_modulus: float
     verdict: bool
-    tolerance: float
 
 
 def _poly_pow(base: np.ndarray, n: int) -> np.ndarray:
@@ -157,24 +154,7 @@ def extendibility_test(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     m = _max_modulus(_nonholomorphic_coefficients(f, A)[1])
-    return ExtendibilityReport(A, m, m <= tol, tol)
-
-
-def numeric_moments(sampler: Callable[[float], complex], N: int) -> LaurentPolynomial:
-    """Approximate Fourier coefficients of a black-box circle function from
-    N uniform samples; exact for trigonometric polynomials of degree < N/2."""
-    if N < 64 or N & (N - 1) != 0:
-        raise ValueError("sample count must be a power of two >= 64")
-    theta = 2 * np.pi * np.arange(N) / N
-    samples = np.array([sampler(t) for t in theta], dtype=complex)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample("sampler produced a non-finite value")
-    c = np.fft.fft(samples) / N
-    out = {}
-    for m in range(N):
-        k = m if m < N // 2 else m - N
-        out[k] = c[m]
-    return LaurentPolynomial(out)
+    return ExtendibilityReport(m, m <= tol)
 
 
 def extension_value(

@@ -22,6 +22,7 @@ from .boundary import (
 )
 from .discs import (
     StraightDisc,
+    _lift_class,
     boundary_point,
     disc_from_line,
     disc_through_two_points,
@@ -67,7 +68,6 @@ class MomentMatrix:
     restricted to the disc."""
 
     matrix: np.ndarray
-    degree: int
     basis: list[tuple[int, int, int, int]]
 
 
@@ -109,7 +109,7 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, d)[:, -1 : -d - 1 : -1, :]
         coeffs /= N
         out[lo * d : hi * d, nh] = coeffs.reshape(-1, len(nh))
-    return MomentMatrix(out, d, basis)
+    return MomentMatrix(out, basis)
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,10 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
     if gap < SPECTRAL_GAP_MIN:
         raise DegenerateSample(
             f"spectral gap {gap:.1f} below {SPECTRAL_GAP_MIN:.0f} "
-            f"(rank {rank} of {ncols} columns, {nrows} rows)"
+            f"(rank {rank} of {ncols} columns, {nrows} rows): "
+            f"{nrows / ncols:.2f} rows per column of M_nh, which more discs "
+            "per point raise; full rank has needed 1.5 or more at degree <= 2 "
+            "and 2.2 or more at degree 12"
         )
 
     null = np.zeros((ncols, 0), dtype=complex)
@@ -417,11 +420,10 @@ def random_disc(rng) -> StraightDisc:
 
 def _lift_curve_samples(disc: StraightDisc, taus) -> tuple[np.ndarray, np.ndarray]:
     """Base points a + tau*b and unit representatives of the lift classes
-    [tau*conj(a) + conj(b)], as (len(taus), 2) arrays."""
-    a, b = disc.a.as_array(), disc.b.as_array()
-    taus = np.asarray(taus)[:, None]
-    base = a + taus * b
-    zeta = taus * np.conj(a) + np.conj(b)
+    from discs._lift_class, the formula of lift, as (len(taus), 2) arrays."""
+    taus = np.asarray(taus)
+    base = disc.a.as_array() + taus[:, None] * disc.b.as_array()
+    zeta = np.column_stack(_lift_class(disc, taus))
     zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
     return base, zeta
 

@@ -34,7 +34,7 @@ from disctrace.discs import (
     lift,
 )
 from disctrace.geometry import CP1Point, Complex2, cp1_distance
-from disctrace.moments import extension_value, numeric_moments, restrict_to_disc
+from disctrace.moments import extension_value, restrict_to_disc
 from disctrace.verification import (
     extension_consistency,
     kernel_experiment,
@@ -366,9 +366,11 @@ def test_criterion_8_exactness_oracles(capsys):
              for i in rng.choice(len(keys), 5)}
         )
         exact = restrict_to_disc(f, disc)
-        approx = numeric_moments(
-            lambda t: evaluate(f, boundary_point(disc, t)), 256
-        )
+        # the FFT of 256 scalar boundary samples; index -k is coefficient -k
+        theta = 2 * np.pi * np.arange(256) / 256
+        approx = np.fft.fft(
+            [evaluate(f, boundary_point(disc, t)) for t in theta]
+        ) / 256
         fft_err = max(
             fft_err, max(abs(exact[k] - approx[k]) for k in range(-7, 8))
         )

@@ -13,18 +13,11 @@ from disctrace.boundary import (
     holomorphic_basis,
     holomorphic_defect,
     hopf_quadrature_inner,
-    normal_form,
     reduced_basis,
     sphere_inner_product,
 )
 from disctrace.errors import DegreeOverflow, OffSphere
 from disctrace.geometry import Complex2
-
-
-def random_sphere_point(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = v / np.linalg.norm(v)
-    return Complex2(v[0], v[1])
 
 
 small_indices = st.tuples(
@@ -57,14 +50,6 @@ class TestHermitianPolynomial:
         h = f + (-1.5j) * g
         assert h.terms == {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): -3j}
 
-    def test_conjugate(self):
-        f = HermitianPolynomial.monomial((1, 0), (0, 2), 1 + 2j)
-        assert f.conjugate().terms == {(0, 2, 1, 0): 1 - 2j}
-
-    def test_is_holomorphic(self):
-        assert HermitianPolynomial.monomial((2, 1), (0, 0)).is_holomorphic()
-        assert not HermitianPolynomial.monomial((0, 0), (1, 0)).is_holomorphic()
-
     @settings(max_examples=50, deadline=None)
     @given(polys)
     def test_nonholomorphic_terms_split(self, f):
@@ -75,7 +60,7 @@ class TestHermitianPolynomial:
         split = {tuple(int(i) for i in k): ck for k, ck in zip(e, c)}
         assert split == {k: ck for k, ck in f.terms.items() if k[2] + k[3] > 0}
         assert D == max((sum(k) for k in split), default=0)
-        assert (len(c) == 0) == f.is_holomorphic()
+        assert (len(c) == 0) == all(k[2] + k[3] == 0 for k in f.terms)
 
     def test_json_round_trip(self, tmp_path):
         f = HermitianPolynomial({(1, 0, 0, 2): 0.5 - 1j, (0, 0, 0, 0): 2.0})
@@ -109,7 +94,7 @@ class TestHermitianPolynomial:
 
     @pytest.mark.parametrize("key", [(1, 0), (), (1, 0, 0, 0, 2)])
     def test_multi_index_needs_four_entries(self, key):
-        # (1, 0) and () used to fail later in is_holomorphic and to_json_dict;
+        # (1, 0) and () used to fail later in to_json_dict;
         # the fifth entry of (1, 0, 0, 0, 2) was dropped from the JSON form
         with pytest.raises(ValueError, match="4 entries"):
             HermitianPolynomial({key: 1.0})
@@ -144,33 +129,6 @@ class TestEvaluate:
     def test_instance(self):
         f = HermitianPolynomial.monomial((0, 1), (0, 1))  # |z2|^2
         assert evaluate(f, Complex2(0.6, 0.8)) == pytest.approx(0.64)
-
-
-class TestNormalForm:
-    def test_single_rewrite(self):
-        f = HermitianPolynomial.monomial((1, 0), (1, 0))  # z1 conj(z1)
-        nf = normal_form(f)
-        assert nf.terms == {(0, 0, 0, 0): 1.0, (0, 1, 0, 1): -1.0}
-
-    def test_already_reduced(self):
-        f = HermitianPolynomial.monomial((0, 1), (0, 1))
-        assert normal_form(f).terms == f.terms
-
-    def test_one_step_instance(self):
-        # z1^2 conj(z1) -> z1 - z1 z2 conj(z2)
-        f = HermitianPolynomial.monomial((2, 0), (1, 0))
-        nf = normal_form(f)
-        assert nf.terms == {(1, 0, 0, 0): 1.0, (1, 1, 0, 1): -1.0}
-
-    @settings(max_examples=50, deadline=None)
-    @given(polys)
-    def test_preserves_sphere_values(self, f):
-        nf = normal_form(f)
-        assert all(min(k[0], k[2]) == 0 for k in nf.terms)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = random_sphere_point(rng)
-            assert evaluate(f, z) == pytest.approx(evaluate(nf, z), abs=1e-10)
 
 
 def test_no_hypothesis_example_database():

@@ -8,14 +8,13 @@ from disctrace.discs import (
     disc_through_two_points,
     lift,
 )
-from disctrace.errors import NonFiniteSample, NotExtendible, NotInFamily
+from disctrace.errors import NotExtendible, NotInFamily
 from disctrace.geometry import Complex2
 from disctrace.moments import (
     LaurentPolynomial,
     extendibility_test,
     extension_value,
     lifted_value,
-    numeric_moments,
     restrict_to_disc,
 )
 
@@ -31,9 +30,11 @@ def random_disc(rng, rmax=0.9):
 
 
 def fft_oracle(f, disc, N=256):
-    return numeric_moments(
-        lambda t: evaluate(f, boundary_point(disc, t)), N
-    )
+    """Fourier coefficients of N scalar boundary samples of f; index k of
+    the result (negative k from the end) is the coefficient k."""
+    theta = 2 * np.pi * np.arange(N) / N
+    samples = [evaluate(f, boundary_point(disc, t)) for t in theta]
+    return np.fft.fft(samples) / N
 
 
 class TestLaurentPolynomial:
@@ -116,24 +117,6 @@ class TestExtendibility:
         f = HermitianPolynomial()
         with pytest.raises(ValueError):
             extendibility_test(f, disc_from_line(Complex2(0, 0), Complex2(1, 0)), 0.0)
-
-
-class TestNumericMoments:
-    def test_power_of_two_guard(self):
-        with pytest.raises(ValueError):
-            numeric_moments(lambda t: 1.0, 100)
-        with pytest.raises(ValueError):
-            numeric_moments(lambda t: 1.0, 32)
-
-    def test_exact_for_trig_polynomials(self):
-        p = LaurentPolynomial({-3: 1j, 0: 2.0, 5: -1.0})
-        approx = numeric_moments(lambda t: p.eval_circle(np.exp(1j * t)), 64)
-        for k in (-3, 0, 5, 1, -1):
-            assert abs(approx[k] - p[k]) < 1e-13
-
-    def test_non_finite_guard(self):
-        with pytest.raises(NonFiniteSample):
-            numeric_moments(lambda t: np.nan, 64)
 
 
 class TestExtensionValue:
