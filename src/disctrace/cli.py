@@ -13,7 +13,6 @@ import re
 import sys
 
 from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
-from .discs import disc_through_two_points
 from .errors import (
     CollinearPoints,
     DegenerateSample,
@@ -22,7 +21,7 @@ from .errors import (
     NotExtendible,
 )
 from .geometry import Complex2
-from .moments import DEFAULT_MOMENT_TOL, extendibility_test, extension_value
+from .moments import MOMENT_RTOL, extendibility_test
 from .verification import (
     extension_consistency,
     kernel_experiment,
@@ -118,12 +117,6 @@ def _kernel_disc_limit(d: int) -> int:
     return min(_MAX_DISCS, _MAX_MATRIX_BYTES // per_disc) if d else _MAX_DISCS
 
 
-def _check_tolerance(flag: str, tol: float) -> None:
-    # the chained comparison is false for nan as well as for <= 0 and inf
-    if not 0.0 < tol < float("inf"):
-        raise UsageError(f"{flag} must be positive and finite")
-
-
 def cmd_kernel(args) -> int:
     _check_degree(args.degree)
     _check_discs(args.discs, _kernel_disc_limit(args.degree))
@@ -148,7 +141,6 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_test(args) -> int:
-    _check_tolerance("--tol", args.tol)
     _check_discs(args.discs)
     f = _load_function(args.function)
     P = parse_interior_point(args.point)
@@ -156,7 +148,7 @@ def cmd_test(args) -> int:
     all_pass = True
     print("disc_id,max_negative_modulus,verdict")
     for i, disc in enumerate(discs):
-        rep = extendibility_test(f, disc, args.tol)
+        rep = extendibility_test(f, disc)
         all_pass = all_pass and rep.verdict
         print(f"{i},{rep.max_negative_modulus:.3e},{str(rep.verdict).lower()}")
     print(f"summary,{'pass' if all_pass else 'fail'}")
@@ -170,7 +162,6 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    _check_tolerance("--tol", args.tol)
     _check_discs(args.discs)
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
@@ -181,7 +172,7 @@ def cmd_extend(args) -> int:
     # extend along every sampled disc through each of the three points
     for j, P in enumerate(points):
         for disc in sample_disc_family(P, args.discs, args.seed + j):
-            rep = extendibility_test(f, disc, args.tol)
+            rep = extendibility_test(f, disc)
             if not rep.verdict:
                 print(
                     "not extendible: max negative modulus "
@@ -191,15 +182,15 @@ def cmd_extend(args) -> int:
                 )
                 return 1
     try:
-        discrepancy = extension_consistency(f, *points, z=z, tol=args.tol)
-        disc, tau_z, _ = disc_through_two_points(z, points[0])
-        value = extension_value(f, disc, tau_z, args.tol)
+        value, discrepancy = extension_consistency(f, *points, z=z)
     except NotExtendible as exc:
         print(f"not extendible: {exc}", file=sys.stderr)
         return 1
     print(f"value,{value.real!r},{value.imag!r}")
     print(f"discrepancy,{discrepancy!r}")
-    return 0 if discrepancy < 1e-8 else 1
+    # the moment test's relative bound, over every term of f
+    bound = MOMENT_RTOL * sum(abs(c) for c in f.terms.values())
+    return 0 if discrepancy <= bound else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--function", required=True)
     t.add_argument("--point", required=True)
     t.add_argument("--discs", type=int, default=100)
-    t.add_argument("--tol", type=float, default=DEFAULT_MOMENT_TOL)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_test)
 
@@ -244,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--points", nargs=3, required=True)
     e.add_argument("--at", required=True)
     e.add_argument("--discs", type=int, default=30)
-    e.add_argument("--tol", type=float, default=1e-8)
     e.add_argument("--seed", type=int, default=0)
     e.set_defaults(func=cmd_extend)
 

@@ -28,7 +28,8 @@ from .discs import StraightDisc, disc_from_lift_point, LiftPoint
 from .errors import NotExtendible, NotInFamily
 from .geometry import Complex2
 
-DEFAULT_MOMENT_TOL = 1e-10
+# relative bound of the moment test; see _moment_bound
+MOMENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,25 +145,26 @@ def _max_modulus(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs), initial=0.0))
 
 
-def extendibility_test(
-    f: HermitianPolynomial, A: StraightDisc, tol: float = DEFAULT_MOMENT_TOL
-) -> ExtendibilityReport:
+def _moment_bound(f: HermitianPolynomial) -> float:
+    """The largest negative-coefficient modulus the moment test takes for
+    roundoff: MOMENT_RTOL * sum |c| over the non-holomorphic terms of f,
+    0.0 when f is holomorphic.  On a disc boundary each such monomial has
+    modulus at most 1, and so has each of its Laurent coefficients; the sum
+    therefore bounds every coefficient of f, and the bound scales with f,
+    so s*f gets the verdict of f for every s != 0."""
+    return MOMENT_RTOL * float(np.sum(np.abs(f.nonholomorphic_terms[1])))
+
+
+def extendibility_test(f: HermitianPolynomial, A: StraightDisc) -> ExtendibilityReport:
     """Moment test: f extends holomorphically into the disc iff all
-    negative Fourier coefficients of its boundary restriction vanish.
-    Only the non-holomorphic terms of f can contribute, so a holomorphic f
-    gives exactly 0.0."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    negative Fourier coefficients of its boundary restriction vanish, up to
+    the scale-relative bound of MOMENT_RTOL.  Only the non-holomorphic terms
+    of f can contribute, so a holomorphic f gives exactly 0.0 and passes."""
     m = _max_modulus(_nonholomorphic_coefficients(f, A)[1])
-    return ExtendibilityReport(m, m <= tol)
+    return ExtendibilityReport(m, m <= _moment_bound(f))
 
 
-def extension_value(
-    f: HermitianPolynomial,
-    A: StraightDisc,
-    tau0: complex,
-    tol: float = DEFAULT_MOMENT_TOL,
-) -> complex:
+def extension_value(f: HermitianPolynomial, A: StraightDisc, tau0: complex) -> complex:
     """Value at A(tau0) of the holomorphic extension of f along the disc:
     the holomorphic terms of f evaluated at A(tau0), plus the k >= 0 part
     of the restriction of the other terms evaluated at tau0."""
@@ -175,22 +177,17 @@ def extension_value(
     )
     if not neg.size:  # holomorphic f: no moment to test, nothing to add
         return complex(value)
-    m = _max_modulus(neg)
-    if m > tol:
-        raise NotExtendible(f"max negative coefficient modulus {m:.3e} > {tol:.1e}")
+    m, bound = _max_modulus(neg), _moment_bound(f)
+    if m > bound:
+        raise NotExtendible(f"max negative coefficient modulus {m:.3e} > {bound:.3e}")
     return complex(value + np.polyval(pos[::-1], tau0))
 
 
-def lifted_value(
-    f: HermitianPolynomial,
-    P: Complex2,
-    L: LiftPoint,
-    tol: float = DEFAULT_MOMENT_TOL,
-) -> complex:
+def lifted_value(f: HermitianPolynomial, P: Complex2, L: LiftPoint) -> complex:
     """The lifted function at a point (z, [zeta]) of the family through P:
     the extension value, at z, along the unique disc whose lift passes
     through the point."""
     disc, tau0 = disc_from_lift_point(L.z, L.zeta)
     if disc.line_distance(P) > 1e-8:
         raise NotInFamily("recovered disc does not pass through the family center")
-    return extension_value(f, disc, tau0, tol)
+    return extension_value(f, disc, tau0)

@@ -344,17 +344,17 @@ def extension_consistency(
     P2: Complex2,
     P3: Complex2,
     z: Complex2,
-    tol: float = 1e-8,
-) -> float:
-    """Max pairwise discrepancy of the in-disc extension values of f at z
-    along the discs joining z to each of the three family centers.  Small
-    discrepancy certifies that the glued lifted function descends to a
-    function of the base point alone."""
+) -> tuple[complex, float]:
+    """The in-disc extension value of f at z along the disc joining z to
+    P1, and the max pairwise discrepancy of the values along the discs
+    joining z to each of the three family centers.  Small discrepancy
+    certifies that the glued lifted function descends to a function of the
+    base point alone."""
     values = []
     for P in (P1, P2, P3):
         disc, tau_z, _ = disc_through_two_points(z, P)
-        values.append(extension_value(f, disc, tau_z, tol))
-    return max(
+        values.append(extension_value(f, disc, tau_z))
+    return values[0], max(
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
     )
 

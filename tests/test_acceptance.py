@@ -339,7 +339,7 @@ def test_criterion_7_gluing_surrogate(main_experiment, capsys):
             f = f + float(c) * p
         for _ in range(20):
             z = random_interior_point(rng, rmax=0.6)
-            worst = max(worst, extension_consistency(f, P1, P2, P3, z, tol=1e-6))
+            worst = max(worst, extension_consistency(f, P1, P2, P3, z)[1])
     f = HermitianPolynomial.monomial((0, 1), (0, 1))
     d1 = disc_from_line(Complex2(0, 0), Complex2(0.0, 1.0))
     d2 = disc_from_line(Complex2(0, 0), Complex2(1.0, 0.0))

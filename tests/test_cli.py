@@ -164,6 +164,30 @@ class TestExtendCommand:
                      *SCENE, "--at", "2,0"]) == 2
 
 
+class TestScaleInvariance:
+    """Extending along a disc is linear in f, so a nonzero multiple of f
+    gets the verdicts of f: no absolute cutoff passes a tiny non-extendible
+    function or fails a large extendible one."""
+
+    @pytest.mark.parametrize("command", ["test", "extend"])
+    @pytest.mark.parametrize("terms, scale, code", [
+        # z1^2 z2 + 0.5 + (|z1|^2 + |z2|^2 - 1) * z1 conj(z2): mixed terms,
+        # and z1^2 z2 + 0.5 on the sphere
+        ({(2, 1, 0, 0): 1.0, (0, 0, 0, 0): 0.5, (2, 0, 1, 1): 1.0,
+          (1, 1, 0, 2): 1.0, (1, 0, 0, 1): -1.0}, 1e8, 0),
+        ({(0, 1, 0, 1): 1.0}, 1e-12, 1),  # |z2|^2
+    ], ids=["extendible-1e8", "z2sq-1e-12"])
+    def test_scaled_function(self, command, terms, scale, code, tmp_path):
+        path = tmp_path / "f.json"
+        (scale * HermitianPolynomial(terms)).save(path)
+        argv = {
+            "test": ["test", "--function", str(path), "--point", "0.3,0.2"],
+            "extend": ["extend", "--function", str(path), "--points", *SCENE,
+                       "--at", "0.2,0.1"],
+        }[command]
+        assert main(argv) == code
+
+
 class TestNegativeCoordinates:
     """A point whose first coordinate is negative starts with "-", as an
     option does; it still parses in --points, --point and --at."""
@@ -347,20 +371,6 @@ class TestUsageErrors:
                        "--at", "0.2,0.1", "--discs", "4"],
         }[command]
         self.assert_usage_error(argv, capsys)
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_test_nonfinite_tol(self, tol, holomorphic_file, capsys):
-        self.assert_usage_error(
-            ["test", "--function", holomorphic_file, "--point", "0.3,0.2",
-             "--discs", "4", "--tol", tol], capsys,
-        )
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_extend_nonfinite_tol(self, tol, holomorphic_file, capsys):
-        self.assert_usage_error(
-            ["extend", "--function", holomorphic_file, "--points", *SCENE,
-             "--at", "0.2,0.1", "--discs", "4", "--tol", tol], capsys,
-        )
 
     @pytest.mark.parametrize("at", SCENE)
     def test_extend_at_one_of_the_points(self, at, holomorphic_file, capsys):

@@ -17,6 +17,7 @@ from disctrace.moments import (
     lifted_value,
     restrict_to_disc,
 )
+from disctrace.verification import sample_disc_family
 
 
 def random_disc(rng, rmax=0.9):
@@ -27,6 +28,15 @@ def random_disc(rng, rmax=0.9):
             break
     w = rng.normal(size=4)
     return disc_from_line(p, Complex2(complex(w[0], w[1]), complex(w[2], w[3])))
+
+
+def sphere_multiple(h):
+    """(|z1|^2 + |z2|^2 - 1) * h, which vanishes on the sphere."""
+    h1, h2 = (
+        HermitianPolynomial({tuple(np.add(k, s)): c for k, c in h.terms.items()})
+        for s in [(1, 0, 1, 0), (0, 1, 0, 1)]
+    )
+    return h1 + h2 + (-1.0) * h
 
 
 def fft_oracle(f, disc, N=256):
@@ -113,10 +123,20 @@ class TestExtendibility:
         assert not rep.verdict
         assert rep.max_negative_modulus == pytest.approx(0.16, abs=1e-14)
 
-    def test_tolerance_guard(self):
-        f = HermitianPolynomial()
-        with pytest.raises(ValueError):
-            extendibility_test(f, disc_from_line(Complex2(0, 0), Complex2(1, 0)), 0.0)
+    @pytest.mark.parametrize("s", [1e-12, 1e8])
+    @pytest.mark.parametrize("extendible", [True, False])
+    def test_verdict_is_scale_invariant(self, s, extendible):
+        # extending along a disc is linear in f, so s*f has the verdicts of f
+        if extendible:
+            # z1^2 z2 + 0.5 on the sphere, with mixed terms
+            f = HermitianPolynomial({(2, 1, 0, 0): 1.0, (0, 0, 0, 0): 0.5}) + sphere_multiple(
+                HermitianPolynomial({(1, 0, 0, 1): 1.0, (0, 0, 1, 0): -0.7j})
+            )
+        else:
+            f = HermitianPolynomial.monomial((0, 1), (0, 1))  # |z2|^2
+        for disc in sample_disc_family(Complex2(0.3, 0.2), 100, 0):
+            assert extendibility_test(f, disc).verdict is extendible
+            assert extendibility_test(s * f, disc).verdict is extendible
 
 
 class TestExtensionValue:
@@ -253,11 +273,14 @@ class TestAgainstExactRestriction:
             if kind == "holomorphic" or d == 0:
                 assert rep.max_negative_modulus == 0.0
 
-            # an unbounded tolerance gives the k >= 0 part for every f
-            value = extension_value(f, disc, tau, tol=np.inf)
+            if not rep.verdict:
+                with pytest.raises(NotExtendible):
+                    extension_value(f, disc, tau)
+                continue
+            value = extension_value(f, disc, tau)
             assert type(value) is complex
             assert abs(value - exact.eval_nonnegative(tau)) <= 1e-12 * scale
-            lifted = lifted_value(f, P, lift(disc, tau), tol=np.inf)
+            lifted = lifted_value(f, P, lift(disc, tau))
             assert type(lifted) is complex
             assert abs(lifted - exact.eval_nonnegative(tau)) <= 1e-12 * scale
 
@@ -267,12 +290,7 @@ class TestAgainstExactRestriction:
         rng = np.random.default_rng(7)
         for d in range(1, 11):
             g = _random_polynomial(rng, d, "holomorphic")
-            h = _random_polynomial(rng, d, "mixed")
-            h1, h2 = (
-                HermitianPolynomial({tuple(np.add(k, s)): c for k, c in h.terms.items()})
-                for s in [(1, 0, 1, 0), (0, 1, 0, 1)]
-            )
-            f = g + h1 + h2 + (-1.0) * h
+            f = g + sphere_multiple(_random_polynomial(rng, d, "mixed"))
             scale = sum(abs(c) for c in f.terms.values())
             for _ in range(4):
                 disc = random_disc(rng)

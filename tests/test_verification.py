@@ -379,7 +379,9 @@ class TestTwoPointProbe:
 class TestExtensionConsistency:
     def test_holomorphic_trivial(self):
         f = HermitianPolynomial.monomial((2, 1), (0, 0))
-        assert extension_consistency(f, P1, P2, P3, Complex2(0.1, 0.2)) < 1e-12
+        value, discrepancy = extension_consistency(f, P1, P2, P3, Complex2(0.1, 0.2))
+        assert value == pytest.approx(0.1**2 * 0.2, abs=1e-15)
+        assert discrepancy < 1e-12
 
     def test_kernel_elements(self, main_report):
         rng = np.random.default_rng(0)
@@ -391,7 +393,7 @@ class TestExtensionConsistency:
                 f = f + float(c) * p
             z = Complex2(complex(*rng.uniform(-0.3, 0.3, 2)),
                          complex(*rng.uniform(-0.3, 0.3, 2)))
-            assert extension_consistency(f, P1, P2, P3, z, tol=1e-6) < 1e-8
+            assert extension_consistency(f, P1, P2, P3, z)[1] < 1e-8
 
 
 def broadcast_min_distance(d1, d2, P, n_tau=48, radius=1e-3):
