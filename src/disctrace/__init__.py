@@ -38,11 +38,11 @@ from .verification import (
     MomentMatrix,
     build_moment_matrix,
     extension_consistency,
+    family_experiment,
     kernel_experiment,
     lemma_suite,
     one_point_control,
     sample_disc_family,
-    two_point_probe,
 )
 
 __version__ = "0.1.0"
@@ -69,6 +69,7 @@ __all__ = [
     "extendibility_test",
     "extension_consistency",
     "extension_value",
+    "family_experiment",
     "hermitian_inner",
     "holomorphic_defect",
     "kernel_experiment",
@@ -80,5 +81,4 @@ __all__ = [
     "restrict_to_disc",
     "sample_disc_family",
     "sphere_inner_product",
-    "two_point_probe",
 ]

@@ -23,6 +23,7 @@ from .errors import (
 from .geometry import Complex2
 from .moments import MOMENT_RTOL, extendibility_test
 from .verification import (
+    _assert_general_position,
     extension_consistency,
     kernel_experiment,
     lemma_suite,
@@ -72,7 +73,9 @@ def parse_point(text: str) -> Complex2:
 def parse_interior_point(text: str) -> Complex2:
     """parse_point, rejecting points outside the open unit ball."""
     p = parse_point(text)
-    if p.norm() >= 1.0:
+    # each part is tested first: the norm squares them, overflowing above 1.3e154
+    parts = (p.z1.real, p.z1.imag, p.z2.real, p.z2.imag)
+    if any(abs(x) >= 1.0 for x in parts) or p.norm() >= 1.0:
         raise UsageError(f"point {text!r} must be interior (|P| < 1)")
     return p
 
@@ -86,8 +89,11 @@ def _dump(doc: dict, path: str | None, to_stdout: bool) -> None:
     if to_stdout or path is None:
         sys.stdout.write(text)
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report {path}: {exc.strerror}") from exc
 
 
 def _load_function(path: str) -> HermitianPolynomial:
@@ -95,6 +101,8 @@ def _load_function(path: str) -> HermitianPolynomial:
         return HermitianPolynomial.load(path)
     except FileNotFoundError as exc:
         raise UsageError(f"function file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read function file {path}: {exc.strerror}") from exc
     except (
         json.JSONDecodeError, KeyError, TypeError, ValueError, DegreeOverflow
     ) as exc:
@@ -128,8 +136,6 @@ def cmd_kernel(args) -> int:
             discs_per_point=args.discs,
             seed=args.seed,
         )
-    except CollinearPoints as exc:
-        raise UsageError(str(exc)) from exc
     except DegenerateSample as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -166,6 +172,7 @@ def cmd_extend(args) -> int:
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)
+    _assert_general_position(points)
     if z in points:
         raise UsageError("--at must differ from each of --points")
     # membership in the joint kernel at the function's own degree: f must
@@ -247,7 +254,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise UsageError("--seed must be non-negative")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CollinearPoints) as exc:  # CollinearPoints: bad --points
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiscTraceError as exc:

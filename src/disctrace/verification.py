@@ -63,9 +63,11 @@ def sample_disc_family(P: Complex2, n: int, seed: int) -> list[StraightDisc]:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Rows: (disc index, negative degree k in 1..d); columns: reduced
-    basis monomials; entry = Laurent coefficient at -k of the monomial
-    restricted to the disc."""
+    """The non-holomorphic block M_nh of the moment matrix.  Rows: (disc
+    index, negative degree k in 1..d); columns: the reduced basis monomials
+    with a conjugate factor; entry = Laurent coefficient at -k of the
+    monomial restricted to the disc.  Holomorphic monomials have no
+    negative terms: their columns are zero by theorem and are not stored."""
 
     matrix: np.ndarray
     basis: list[tuple[int, int, int, int]]
@@ -82,33 +84,34 @@ _BLOCK_BYTES = 4 << 20
 
 
 def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
-    """Moment matrix of all reduced monomials of degree <= d along the
-    given discs.
+    """The block M_nh of the moment matrix of the reduced monomials of
+    degree <= d along the given discs.
 
     The coefficients -1..-d of every non-holomorphic monomial come from
     moments._boundary_dft, the boundary DFT that the moment test shares,
     which is exact for these Laurent polynomials (restrict_to_disc is the
-    scalar oracle).  Holomorphic monomials have no negative terms: their
-    columns are exactly zero.  Discs are processed in blocks of at most
-    _BLOCK_BYTES of samples.
+    scalar oracle).  Discs are processed in blocks of at most _BLOCK_BYTES
+    of samples.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     if not discs:
         raise ValueError("need at least one disc")
-    basis = reduced_basis(d)
-    nh = np.flatnonzero(_nonholomorphic(basis))
-    e = np.array(basis)[nh]
+    full = reduced_basis(d)
+    basis = [k for k, nh in zip(full, _nonholomorphic(full)) if nh]
+    e = np.array(basis)
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
     N = 2 * d + 2
-    out = np.zeros((len(discs) * d, len(basis)), dtype=complex)
-    step = max(1, _BLOCK_BYTES // (16 * N * len(nh)))
+    # Fortran order: the QR and SVD of _nullspace_report round differently
+    # on a C-order copy, and their bits set every reported singular value
+    out = np.empty((len(discs) * d, len(basis)), dtype=complex, order="F")
+    step = max(1, _BLOCK_BYTES // (16 * N * len(basis)))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
         coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, d)[:, -1 : -d - 1 : -1, :]
         coeffs /= N
-        out[lo * d : hi * d, nh] = coeffs.reshape(-1, len(nh))
+        out[lo * d : hi * d] = coeffs.reshape(-1, len(basis))
     return MomentMatrix(out, basis)
 
 
@@ -192,21 +195,19 @@ def _coordinate_span(basis, members) -> np.ndarray:
     return M
 
 
-def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
-    """Kernel of the moment matrix: the holomorphic coordinate span plus the
-    nullspace of the non-holomorphic block M_nh.  The rank of M_nh sits at
-    the largest ratio between consecutive singular values of the
-    row-normalized M_nh, floored at eps * s_0 with the floor appended
-    (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998), so full
-    rank is decided by s_min / floor and no cutoff is set by the user.
+def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelReport:
+    """Kernel of the moment matrix at degree d: the holomorphic coordinate
+    span of reduced_basis(d) plus the nullspace of the block M_nh that
+    matrix holds.  The rank of M_nh sits at the largest ratio between
+    consecutive singular values of the row-normalized M_nh, floored at
+    eps * s_0 with the floor appended (Hansen, Rank-Deficient and Discrete
+    Ill-Posed Problems, 1998), so full rank is decided by s_min / floor and
+    no cutoff is set by the user.
 
     Singular vectors are computed only when the rank is short, the only
     case with null vectors.  The kernel contains the holomorphic span by
     construction, so its angle to that span is reported as 0.0."""
-    nh = _nonholomorphic(matrix.basis)
-    if np.any(matrix.matrix[:, ~nh] != 0):
-        raise ValueError("holomorphic columns of the moment matrix must vanish")
-    M = matrix.matrix[:, nh]
+    M = matrix.matrix
     norms = np.linalg.norm(M, axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
     nrows, ncols = M.shape
@@ -236,11 +237,10 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
         # the thin Vh lacks kernel rows only when there are fewer rows than columns
         Vh = np.linalg.svd(M, full_matrices=nrows < ncols)[2]
         null = Vh[rank:].conj().T
-    hdim = len(nh) - ncols
+    basis = reduced_basis(d)
+    hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
-    return KernelReport(
-        hdim + ncols - rank, hdim, 0.0, svals, gap, null, matrix.basis, config
-    )
+    return KernelReport(hdim + ncols - rank, hdim, 0.0, svals, gap, null, basis, config)
 
 
 def _assert_general_position(points) -> None:
@@ -255,9 +255,12 @@ def _assert_general_position(points) -> None:
             raise CollinearPoints("the three points lie on one complex line")
 
 
-def _family_report(points, d, n, seed) -> KernelReport:
-    """Nullspace experiment for the disc families through the given interior
-    points, n discs each, family j sampled with seed + j."""
+def family_experiment(points, d: int, n: int, seed: int = 0) -> KernelReport:
+    """Nullspace experiment for the disc families through the given points,
+    n discs each.  The points must be interior (ValueError) and in general
+    position (CollinearPoints): pairwise distinct, and three of them not on
+    one complex line.  Family j is sampled with seed + j.  Degree 0 gets
+    its own report: kernel 1, spectral gap inf."""
     for p in points:
         if p.norm() >= 1.0:
             raise ValueError("points must be interior")
@@ -277,7 +280,7 @@ def _family_report(points, d, n, seed) -> KernelReport:
     discs = []
     for j, P in enumerate(points):
         discs.extend(sample_disc_family(P, n, seed + j))
-    return _nullspace_report(build_moment_matrix(d, discs), config)
+    return _nullspace_report(build_moment_matrix(d, discs), d, config)
 
 
 def kernel_experiment(
@@ -290,22 +293,17 @@ def kernel_experiment(
     check_stability: bool = True,
 ) -> KernelReport:
     """Three-family nullspace experiment: for non-collinear interior points
-    the kernel must be exactly the holomorphic trace span of degree <= d."""
+    the kernel must be exactly the holomorphic trace span of degree <= d.
+    check_stability requires the same kernel dimension at twice the discs."""
     points = (P1, P2, P3)
-    report = _family_report(points, d, discs_per_point, seed)
+    report = family_experiment(points, d, discs_per_point, seed)
     if check_stability:
-        doubled = _family_report(points, d, 2 * discs_per_point, seed)
+        doubled = family_experiment(points, d, 2 * discs_per_point, seed)
         if doubled.kernel_dimension != report.kernel_dimension:
             raise DegenerateSample(
                 "kernel dimension not stable under doubling the disc count"
             )
     return report
-
-
-@dataclass(frozen=True)
-class OnePointControl:
-    report: KernelReport
-    predicted_dimension: int | None
 
 
 def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
@@ -314,28 +312,18 @@ def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
     return [k for k in reduced_basis(d) if k[0] + k[1] >= k[2] + k[3]]
 
 
-def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> OnePointControl:
+def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> KernelReport:
     """Single-family control: one point does not suffice.  For P = 0 the
-    kernel is compared, by L2 principal angle, against the enumerated
-    |alpha| >= |beta| span; elsewhere the angle is None."""
-    report = _family_report((P,), d, n, seed)
+    max_principal_angle is the L2 principal angle between the kernel and
+    the span of predicted_one_point_kernel(d), the |alpha| >= |beta|
+    monomials; elsewhere it is None."""
+    report = family_experiment((P,), d, n, seed)
     if P.norm() >= 1e-14:
-        return OnePointControl(replace(report, max_principal_angle=None), None)
-    predicted = predicted_one_point_kernel(d)
+        return replace(report, max_principal_angle=None)
     L = np.linalg.cholesky(gram_matrix(report.basis))
-    span = _coordinate_span(report.basis, predicted)
+    span = _coordinate_span(report.basis, predicted_one_point_kernel(d))
     angles = _principal_angles_metric(report.kernel_basis, span, L)
-    report = replace(report, max_principal_angle=float(np.max(angles)))
-    return OnePointControl(report, len(predicted))
-
-
-def two_point_probe(
-    P1: Complex2, P2: Complex2, d: int, n: int, seed: int = 0
-) -> KernelReport:
-    """Two-family probe, reported but not asserted: polynomial data is real
-    analytic, so two points are already expected to cut the kernel down to
-    the holomorphic span."""
-    return _family_report((P1, P2), d, n, seed)
+    return replace(report, max_principal_angle=float(np.max(angles)))
 
 
 def extension_consistency(

@@ -40,6 +40,7 @@ from disctrace.verification import (
     kernel_experiment,
     lift_pair_min_distance,
     one_point_control,
+    predicted_one_point_kernel,
     random_direction,
     random_interior_point,
 )
@@ -85,15 +86,15 @@ def test_criterion_1_three_point_kernel(main_experiment, capsys):
 def test_criterion_2_one_point_insufficiency(capsys):
     ctl = one_point_control(P1, d=4, n=60, seed=7)
     ok = (
-        ctl.report.kernel_dimension == 32
-        and ctl.predicted_dimension == 32
-        and ctl.report.kernel_dimension > 15
-        and ctl.report.max_principal_angle < 1e-8
+        ctl.kernel_dimension == 32
+        and len(predicted_one_point_kernel(4)) == 32
+        and ctl.kernel_dimension > 15
+        and ctl.max_principal_angle < 1e-8
     )
     report(
         capsys, 2, ok,
-        f"one-point kernel dim {ctl.report.kernel_dimension} (> 15), angle "
-        f"to predicted span {ctl.report.max_principal_angle:.2e}",
+        f"one-point kernel dim {ctl.kernel_dimension} (> 15), angle "
+        f"to predicted span {ctl.max_principal_angle:.2e}",
     )
     assert ok
 

@@ -378,3 +378,51 @@ class TestUsageErrors:
             ["extend", "--function", holomorphic_file, "--points", *SCENE,
              "--at", at, "--discs", "4"], capsys,
         )
+
+    @pytest.mark.parametrize("command", ["test", "extend"])
+    def test_function_file_is_a_directory(self, command, tmp_path, capsys):
+        argv = {
+            "test": ["test", "--point", "0.3,0.2", "--discs", "4"],
+            "extend": ["extend", "--points", *SCENE, "--at", "0.2,0.1",
+                       "--discs", "4"],
+        }[command]
+        self.assert_usage_error([*argv, "--function", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("command", ["lemmas", "kernel"])
+    def test_report_path_not_writable(self, command, tmp_path, capsys):
+        argv = {
+            "lemmas": ["lemmas", "--out", str(tmp_path / "missing" / "r.json")],
+            "kernel": ["kernel", "--points", *SCENE, "--degree", "2",
+                       "--discs", "10", "--out", str(tmp_path)],
+        }[command]
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["test", "--point", "1e200,0"],
+            ["test", "--point", "1e308,1e308;0,0"],
+            ["kernel", "--points", "0,0", "0.5,0", "0,1e200"],
+            ["extend", "--points", "0,0", "1e200,0", "0,0.5", "--at", "0.2,0.1"],
+            ["extend", "--points", *SCENE, "--at", "0,-1e200"],
+        ],
+        ids=["test", "test-both-parts", "kernel", "extend-points", "extend-at"],
+    )
+    def test_huge_coordinates(self, command, holomorphic_file, capsys):
+        # |z|^2 overflows above about 1.3e154
+        if command[0] != "kernel":
+            command = [*command, "--function", holomorphic_file]
+        self.assert_usage_error([*command, "--discs", "4"], capsys)
+
+    @pytest.mark.parametrize(
+        "points", [["0,0", "0,0", "0.5,0"], ["0,0", "0.5,0", "0.25,0"]],
+        ids=["repeated", "collinear"],
+    )
+    def test_extend_points_not_in_general_position(
+        self, points, holomorphic_file, capsys
+    ):
+        # the kernel command's contract: both used to exit 0
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", *points,
+             "--at", "0.2,0.1", "--discs", "4"], capsys,
+        )

@@ -17,6 +17,7 @@ from disctrace.moments import restrict_to_disc
 from disctrace.verification import (
     build_moment_matrix,
     extension_consistency,
+    family_experiment,
     kernel_experiment,
     lemma_suite,
     lift_pair_min_distance,
@@ -25,7 +26,6 @@ from disctrace.verification import (
     random_direction,
     random_interior_point,
     sample_disc_family,
-    two_point_probe,
 )
 
 P1 = Complex2(0.0, 0.0)
@@ -88,7 +88,7 @@ class TestMomentMatrix:
     def test_shape_and_entries(self):
         discs = sample_disc_family(P2, 5, seed=0)
         M = build_moment_matrix(3, discs)
-        basis = reduced_basis(3)
+        basis = [k for k in reduced_basis(3) if k[2] + k[3] > 0]
         assert M.matrix.shape == (15, len(basis))
         # spot check one entry against the scalar restriction
         disc, k, j = discs[2], 2, 7
@@ -113,10 +113,15 @@ class TestMomentMatrix:
         assert np.max(np.abs(M.matrix - exact)) < 1e-12
 
     def test_holomorphic_columns_vanish(self):
+        # M holds only the non-holomorphic columns, in reduced_basis order;
+        # the holomorphic ones it leaves out have no negative coefficient
         discs = sample_disc_family(P3, 8, seed=2)
         M = build_moment_matrix(4, discs)
-        holo = [M.basis.index(k) for k in holomorphic_basis(4)]
-        assert np.all(M.matrix[:, holo] == 0.0)
+        assert M.basis == [k for k in reduced_basis(4) if k[2] + k[3] > 0]
+        for k in holomorphic_basis(4):
+            mono = HermitianPolynomial({k: 1.0})
+            for disc in discs:
+                assert restrict_to_disc(mono, disc).max_negative_modulus() == 0.0
 
     def test_block_boundaries_do_not_matter(self):
         d = 12
@@ -163,7 +168,7 @@ class TestKernelExperiment:
             M = build_moment_matrix(4, discs)
             s = np.linalg.svd(M.matrix, compute_uv=False)
             rank = int(np.sum(s > 1e-8 * s[0]))
-            dims.append(M.matrix.shape[1] - rank)
+            dims.append(len(reduced_basis(4)) - rank)
         assert dims == sorted(dims, reverse=True)
         assert dims[-1] == 15
 
@@ -245,30 +250,24 @@ class TestKernelExperiment:
         discs = []
         for j, P in enumerate((P1, P2, P3)):
             discs.extend(sample_disc_family(P, 60, seed=7 + j))
-        M = build_moment_matrix(4, discs)
-        M_nh = M.matrix[:, [k[2] + k[3] > 0 for k in M.basis]]
+        M_nh = build_moment_matrix(4, discs).matrix
         M_nh = M_nh / np.linalg.norm(M_nh, axis=1)[:, None]
         s = np.linalg.svd(np.linalg.qr(M_nh, mode="r"), compute_uv=True)[1]
         values = report.singular_values[: len(s)]
         assert np.max(np.abs(values - s)) <= 1e-13 * s[0]
 
-    def test_nonzero_holomorphic_column_rejected(self):
-        M = build_moment_matrix(3, sample_disc_family(P2, 8, seed=0))
-        M.matrix[0, M.basis.index((1, 0, 0, 0))] = 1e-300
-        with pytest.raises(ValueError, match="holomorphic columns"):
-            verification._nullspace_report(M, {})
-
     @staticmethod
     def _check_kernel_basis(P, n):
         """The rank-short one-point control at d = 3 has null vectors, and
         its kernel basis is orthonormal and annihilated by the moment matrix."""
-        ctl = one_point_control(P, d=3, n=n, seed=7)
-        assert ctl.report.null_vectors.shape[1] > 0
-        K = ctl.report.kernel_basis
-        assert K.shape == (len(ctl.report.basis), ctl.report.kernel_dimension)
+        report = one_point_control(P, d=3, n=n, seed=7)
+        assert report.null_vectors.shape[1] > 0
+        K = report.kernel_basis
+        assert K.shape == (len(report.basis), report.kernel_dimension)
         assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+        nh = [k[2] + k[3] > 0 for k in report.basis]
         M = build_moment_matrix(3, sample_disc_family(P, n, seed=7)).matrix
-        assert np.max(np.abs(M @ K)) < 1e-12
+        assert np.max(np.abs(M @ K[nh])) < 1e-12
 
     def test_kernel_basis_embeds_null_vectors(self):
         self._check_kernel_basis(P1, 30)
@@ -285,14 +284,13 @@ class TestKernelExperiment:
         discs = []
         for j, P in enumerate((P1, P2, P3)):
             discs.extend(sample_disc_family(P, n, seed=j))
-        M = build_moment_matrix(d, discs)
-        M_nh = M.matrix[:, [k[2] + k[3] > 0 for k in M.basis]]
+        M_nh = build_moment_matrix(d, discs).matrix
         with mpmath.workdps(40):
             s = mpmath.svd_c(mpmath.matrix(M_nh.tolist()), compute_uv=False)
             s = sorted((float(x) for x in s), reverse=True)
         # 40 digits resolve the smallest singular value far above roundoff
         rank = sum(x > 1e-25 * s[0] for x in s)
-        assert rank == M_nh.shape[1] == len(M.basis) - report.kernel_dimension
+        assert rank == M_nh.shape[1] == len(reduced_basis(d)) - report.kernel_dimension
         assert rank == {3: 20, 4: 40}[d]
 
     def test_undersampled_degenerate(self):
@@ -316,10 +314,10 @@ class TestKernelExperiment:
 
 class TestOnePointControl:
     def test_origin_control(self, gram_calls):
-        ctl = one_point_control(P1, d=4, n=60, seed=7)
-        assert ctl.report.kernel_dimension == 32
-        assert ctl.predicted_dimension == 32
-        assert ctl.report.max_principal_angle < 1e-8
+        report = one_point_control(P1, d=4, n=60, seed=7)
+        assert report.kernel_dimension == 32
+        assert len(predicted_one_point_kernel(4)) == 32
+        assert report.max_principal_angle < 1e-8
         # |alpha| >= |beta| is not the holomorphic span: the angle is measured
         assert len(gram_calls) == 1
 
@@ -330,15 +328,14 @@ class TestOnePointControl:
         assert set(holomorphic_basis(4)) <= set(pred)
 
     def test_degree_zero(self):
-        ctl = one_point_control(P1, d=0, n=5)
-        assert ctl.report.kernel_dimension == 1
-        assert ctl.predicted_dimension == 1
-        assert ctl.report.max_principal_angle == 0.0
-        # off the origin there is no prediction, at every degree
-        ctl = one_point_control(P2, d=0, n=5)
-        assert ctl.report.kernel_dimension == 1
-        assert ctl.predicted_dimension is None
-        assert ctl.report.max_principal_angle is None
+        report = one_point_control(P1, d=0, n=5)
+        assert report.kernel_dimension == 1
+        assert len(predicted_one_point_kernel(0)) == 1
+        assert report.max_principal_angle == 0.0
+        # off the origin there is no prediction, and no angle, at every degree
+        report = one_point_control(P2, d=0, n=5)
+        assert report.kernel_dimension == 1
+        assert report.max_principal_angle is None
 
     def test_exterior_rejected(self):
         with pytest.raises(ValueError):
@@ -347,7 +344,7 @@ class TestOnePointControl:
 
 class TestTwoPointProbe:
     def test_contains_holomorphic_span(self):
-        report = two_point_probe(P1, P2, d=3, n=25, seed=1)
+        report = family_experiment((P1, P2), d=3, n=25, seed=1)
         assert report.kernel_dimension >= len(holomorphic_basis(3))
         assert report.max_principal_angle < 1e-8
 
@@ -355,7 +352,7 @@ class TestTwoPointProbe:
     def test_rank_short_angle_is_zero_by_construction(self, d, n, dim, gram_calls):
         # null vectors exist, yet the kernel holds the holomorphic coordinate
         # directions by construction: the angle is reported without a Gram matrix
-        report = two_point_probe(Complex2(0.1, 0.05j), P2, d=d, n=n, seed=7)
+        report = family_experiment((Complex2(0.1, 0.05j), P2), d=d, n=n, seed=7)
         assert report.kernel_dimension == dim
         assert report.null_vectors.shape[1] > 0
         assert report.max_principal_angle == 0.0
@@ -364,16 +361,16 @@ class TestTwoPointProbe:
 
     def test_distinct_points_required(self):
         with pytest.raises(CollinearPoints):
-            two_point_probe(P2, P2, d=2, n=5)
+            family_experiment((P2, P2), d=2, n=5)
 
     def test_degree_zero(self):
-        report = two_point_probe(P1, P2, d=0, n=5)
+        report = family_experiment((P1, P2), d=0, n=5)
         assert report.kernel_dimension == 1
         assert report.max_principal_angle == 0.0
 
     def test_exterior_rejected(self):
         with pytest.raises(ValueError):
-            two_point_probe(P1, Complex2(1.5, 0), d=2, n=5)
+            family_experiment((P1, Complex2(1.5, 0)), d=2, n=5)
 
 
 class TestExtensionConsistency:
