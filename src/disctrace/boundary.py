@@ -19,7 +19,6 @@ from math import factorial
 
 import numpy as np
 
-from .errors import DegreeOverflow, OffSphere
 from .geometry import Complex2
 
 MAX_DEGREE = 12
@@ -49,7 +48,7 @@ class HermitianPolynomial:
             if any(i < 0 for i in k):
                 raise ValueError("multi-indices must be nonnegative")
             if _total_degree(k) > MAX_DEGREE:
-                raise DegreeOverflow(
+                raise ValueError(
                     f"monomial degree {_total_degree(k)} exceeds cap {MAX_DEGREE}"
                 )
             c = complex(c)
@@ -136,7 +135,7 @@ class HermitianPolynomial:
 def evaluate(f: HermitianPolynomial, z: Complex2) -> complex:
     """Evaluate f at a sphere point."""
     if abs(z.norm() - 1.0) > 1e-10:
-        raise OffSphere(f"|z| = {z.norm():.12f}")
+        raise ValueError(f"|z| = {z.norm():.12f}")
     z1, z2 = z.z1, z.z2
     w1, w2 = np.conj(z1), np.conj(z2)
     total = 0.0 + 0.0j

@@ -8,18 +8,14 @@ reports are byte-stable across reruns.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 
 from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
-from .errors import (
-    CollinearPoints,
-    DegenerateSample,
-    DegreeOverflow,
-    DiscTraceError,
-    NotExtendible,
-)
+from .errors import CollinearPoints, DiscTraceError, NotExtendible
 from .geometry import Complex2
 from .moments import MOMENT_RTOL, extendibility_test
 from .verification import (
@@ -84,6 +80,21 @@ def format_point(p: Complex2) -> str:
     return f"{p.z1.real},{p.z1.imag};{p.z2.real},{p.z2.imag}"
 
 
+def _check_report_path(path: str | None) -> None:
+    """Reject an --out path that cannot be written before the run starts,
+    without creating or truncating the file."""
+    if path is None:
+        return
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(target, os.W_OK):
+        code = errno.EACCES if os.path.exists(target) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write report {path}: {os.strerror(code)}")
+
+
 def _dump(doc: dict, path: str | None, to_stdout: bool) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if to_stdout or path is None:
@@ -103,9 +114,7 @@ def _load_function(path: str) -> HermitianPolynomial:
         raise UsageError(f"function file not found: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read function file {path}: {exc.strerror}") from exc
-    except (
-        json.JSONDecodeError, KeyError, TypeError, ValueError, DegreeOverflow
-    ) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed function file {path}: {exc}") from exc
 
 
@@ -129,16 +138,10 @@ def cmd_kernel(args) -> int:
     _check_degree(args.degree)
     _check_discs(args.discs, _kernel_disc_limit(args.degree))
     points = [parse_interior_point(t) for t in args.points]
-    try:
-        report = kernel_experiment(
-            *points,
-            d=args.degree,
-            discs_per_point=args.discs,
-            seed=args.seed,
-        )
-    except DegenerateSample as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    _check_report_path(args.out)
+    report = kernel_experiment(
+        *points, d=args.degree, discs_per_point=args.discs, seed=args.seed
+    )
     _dump(report.to_json_dict(), args.out, args.json_only)
     # the kernel contains the holomorphic span, so equal dimensions mean
     # equal spaces
@@ -162,6 +165,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    _check_report_path(args.out)
     report = lemma_suite(seed=args.seed)
     _dump(report.to_json_dict(), args.out, args.json_only)
     return 0 if report.all_passed else 1
@@ -172,6 +176,9 @@ def cmd_extend(args) -> int:
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)
+    # disc_from_line's margin: nearer the sphere, tau of z rounds to |tau| >= 1
+    if z.norm() ** 2 >= 1.0 - 1e-12:
+        raise UsageError(f"--at {args.at!r} must satisfy |z|^2 < 1 - 1e-12")
     _assert_general_position(points)
     if z in points:
         raise UsageError("--at must differ from each of --points")
@@ -254,7 +261,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise UsageError("--seed must be non-negative")
         return args.func(args)
-    except (UsageError, CollinearPoints) as exc:  # CollinearPoints: bad --points
+    except (UsageError, CollinearPoints) as exc:
+        # CollinearPoints: --points not in general position, or --at on one of them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiscTraceError as exc:

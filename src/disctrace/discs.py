@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentPoints, LineMissesBall, NoSolution, ZeroDirection
+from .errors import CollinearPoints, LineMissesBall, NoSolution
 from .geometry import CP1Point, Complex2, _canonical_phase, hermitian_inner
 
 _ORTHO_TOL = 1e-12
@@ -79,7 +79,7 @@ def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:
     """Straight disc cut by the line {p + t*v}."""
     nv = v.norm()
     if nv == 0:
-        raise ZeroDirection("line direction is zero")
+        raise ValueError("line direction is zero")
     t = hermitian_inner(p, v) / nv**2
     a1, a2 = p.z1 - t * v.z1, p.z2 - t * v.z2
     na2 = abs(a1) ** 2 + abs(a2) ** 2
@@ -98,7 +98,7 @@ def disc_through_two_points(p: Complex2, q: Complex2):
     """
     dv = q - p
     if dv.norm() == 0:
-        raise CoincidentPoints("disc through two points needs distinct points")
+        raise CollinearPoints("disc through two points needs distinct points")
     if min(p.norm(), q.norm()) >= 1.0 - _BOUNDARY_TOL:
         raise LineMissesBall("at least one of the points must be interior")
     disc = disc_from_line(p, dv)

@@ -1,22 +1,9 @@
-"""Exception hierarchy for disctrace."""
+"""Exception hierarchy for disctrace: bad arguments raise ValueError; these
+classes report a numerical outcome or a condition that a caller branches on."""
 
 
 class DiscTraceError(Exception):
     """Base class for all disctrace errors."""
-
-
-# geometry
-class OutsideClosedBall(DiscTraceError):
-    """Point lies strictly outside the closed unit ball."""
-
-
-class CoincidentPoints(DiscTraceError):
-    """Two points expected to be distinct coincide."""
-
-
-# discs
-class ZeroDirection(DiscTraceError):
-    """Direction vector of a complex line is zero."""
 
 
 class LineMissesBall(DiscTraceError):
@@ -27,54 +14,20 @@ class NoSolution(DiscTraceError):
     """The disc recovered from a lift point does not lift to its class."""
 
 
-# cr-lifts
-class PoleAtAxis(DiscTraceError):
-    """Evaluation at z1 = 0 where the formula has a pole."""
-
-
-class SingularAtCenter(DiscTraceError):
-    """Evaluation at the family center where the basis is singular."""
-
-
-class SingularAtReflectedPole(DiscTraceError):
-    """Evaluation at the reflected pole 1/conj(center)."""
-
-
-class BoundaryParameterOffCircle(DiscTraceError):
-    """Boundary parameter does not lie on the unit circle."""
-
-
-class CurveThroughOrigin(DiscTraceError):
-    """Sweep curve passes through the origin; refine the sampling."""
-
-
 class ChartEvaluationFailure(DiscTraceError):
-    """Lifted family could not be evaluated at the requested point: on the
-    singular fiber z = P, outside the affine chart z1 != 0, or at a lift
-    point that is not on the family."""
+    """Lifted family could not be evaluated at the requested point: at a
+    pole of a conormal basis, on the singular fiber z = P, outside the
+    affine chart z1 != 0, at a lift point that is not on the family, or
+    where the direction sweep curve passes through the origin."""
 
 
-# boundary functions
-class OffSphere(DiscTraceError):
-    """Evaluation point is not on the unit sphere."""
-
-
-class DegreeOverflow(DiscTraceError):
-    """Polynomial degree exceeds boundary.MAX_DEGREE."""
-
-
-# moments
 class NotExtendible(DiscTraceError):
     """Function fails the moment test along the disc."""
 
 
-class NotInFamily(DiscTraceError):
-    """Recovered disc does not pass through the family center."""
-
-
-# verification
 class CollinearPoints(DiscTraceError):
-    """The three points lie on one complex line."""
+    """The points are not in general position: two of them coincide, or
+    three lie on one complex line."""
 
 
 class DegenerateSample(DiscTraceError):

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideClosedBall
-
 PHASE_EPS = 1e-14
 # np.linalg.norm squares without scaling; outside this range |v|^2 leaves
 # the normal floating-point range and the norm loses accuracy or vanishes
@@ -144,6 +142,6 @@ class BallAutomorphism:
 def apply_automorphism(phi: BallAutomorphism, z: Complex2) -> Complex2:
     """Apply phi to a point of the closed ball."""
     if z.norm() > 1.0 + 1e-12:
-        raise OutsideClosedBall(f"|z| = {z.norm():.6f} > 1")
+        raise ValueError(f"|z| = {z.norm():.6f} > 1")
     w = _involution(phi.a.as_array(), phi.U @ z.as_array())
     return Complex2(*w)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .boundary import HermitianPolynomial
 from .discs import StraightDisc, disc_from_lift_point, LiftPoint
-from .errors import NotExtendible, NotInFamily
+from .errors import NotExtendible
 from .geometry import Complex2
 
 # relative bound of the moment test; see _moment_bound
@@ -189,5 +189,5 @@ def lifted_value(f: HermitianPolynomial, P: Complex2, L: LiftPoint) -> complex:
     through the point."""
     disc, tau0 = disc_from_lift_point(L.z, L.zeta)
     if disc.line_distance(P) > 1e-8:
-        raise NotInFamily("recovered disc does not pass through the family center")
+        raise ValueError("recovered disc does not pass through the family center")
     return extension_value(f, disc, tau0)

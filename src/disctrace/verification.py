@@ -689,7 +689,7 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
     for _ in range(100):
         z2 = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         zeta0 = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        windings.append(crlifts.direction_sweep_winding(z2, zeta0, -1.0 + 0j))
+        windings.append(crlifts.direction_sweep_winding(z2, zeta0))
     nonzero = all(w != 0 for w in windings)
     add(
         "direction_sweep_winding",
@@ -698,7 +698,7 @@ def lemma_suite(seed: int = 0) -> LemmaSuiteReport:
         f"windings in {sorted(set(windings))}",
         invert=True,
     )
-    w_inst = crlifts.direction_sweep_winding(0.5, 0.5, -1.0 + 0j)
+    w_inst = crlifts.direction_sweep_winding(0.5, 0.5)
     add(
         "winding_instance",
         1.0 if w_inst in (-1, 1) else 0.0,

@@ -263,7 +263,7 @@ def test_criterion_5_identity_suite(capsys, tmp_path):
     for _ in range(100):
         z2 = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         zeta0 = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        windings.append(crlifts.direction_sweep_winding(z2, zeta0, -1.0 + 0j))
+        windings.append(crlifts.direction_sweep_winding(z2, zeta0))
     winding_ok = all(w != 0 for w in windings)
 
     lemmas_exit = main(

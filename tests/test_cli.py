@@ -300,10 +300,11 @@ class TestUsageErrors:
     @staticmethod
     def forbid_sampling(monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("sampled before the --discs check")
+            raise AssertionError("ran before the argument checks")
 
         monkeypatch.setattr(cli, "sample_disc_family", fail)
         monkeypatch.setattr(cli, "kernel_experiment", fail)
+        monkeypatch.setattr(cli, "lemma_suite", fail)
 
     def test_kernel_disc_limit_is_the_1_gib_matrix(self):
         # the doubled run's complex matrix: 3 points, 2n discs, d rows each
@@ -389,13 +390,37 @@ class TestUsageErrors:
         self.assert_usage_error([*argv, "--function", str(tmp_path)], capsys)
 
     @pytest.mark.parametrize("command", ["lemmas", "kernel"])
-    def test_report_path_not_writable(self, command, tmp_path, capsys):
+    def test_report_path_not_writable(self, command, tmp_path, monkeypatch, capsys):
+        # checked before the run, which used to take seconds at degree 12
+        self.forbid_sampling(monkeypatch)
         argv = {
             "lemmas": ["lemmas", "--out", str(tmp_path / "missing" / "r.json")],
             "kernel": ["kernel", "--points", *SCENE, "--degree", "2",
                        "--discs", "10", "--out", str(tmp_path)],
         }[command]
         self.assert_usage_error(argv, capsys)
+
+    def test_report_path_check_writes_nothing(self, tmp_path, capsys):
+        # an undersampled run fails after the --out check and before the
+        # report: the check neither creates a new file nor truncates one
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept")
+        for out in (new, old):
+            assert main(["kernel", "--points", *SCENE, "--degree", "4",
+                         "--discs", "2", "--out", str(out)]) == 1
+        assert not new.exists()
+        assert old.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "at", ["0,0.9999999999999999", "1e-200,0"], ids=["near-sphere", "underflow"]
+    )
+    def test_extend_at_too_near(self, at, holomorphic_file, capsys):
+        # near the sphere the disc parameter of --at rounds to |tau| >= 1;
+        # 1e-200 passes the exact --at check but is 0,0 to the disc
+        self.assert_usage_error(
+            ["extend", "--function", holomorphic_file, "--points", *SCENE,
+             "--at", at, "--discs", "4"], capsys,
+        )
 
     @pytest.mark.parametrize(
         "command",

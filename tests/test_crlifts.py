@@ -14,13 +14,7 @@ from disctrace.crlifts import (
     transversality_rank,
 )
 from disctrace.discs import LiftPoint, disc_from_line, disc_through_two_points, lift
-from disctrace.errors import (
-    BoundaryParameterOffCircle,
-    ChartEvaluationFailure,
-    PoleAtAxis,
-    SingularAtCenter,
-    SingularAtReflectedPole,
-)
+from disctrace.errors import ChartEvaluationFailure
 from disctrace.geometry import CP1Point, Complex2, cp1_distance
 from disctrace.verification import random_direction, random_interior_point
 
@@ -39,10 +33,10 @@ class TestDefiningFunction:
             assert abs(m0_defining_value(z1, z2, z3)) < 1e-10
 
     def test_pole_at_axis(self):
-        with pytest.raises(PoleAtAxis):
+        with pytest.raises(ChartEvaluationFailure, match="pole at z1 = 0"):
             m0_defining_value(0.0, 0.5, 0.1)
         # the guard covers every element of an array call
-        with pytest.raises(PoleAtAxis):
+        with pytest.raises(ChartEvaluationFailure, match="pole at z1 = 0"):
             m0_defining_value(np.array([0.5, 0.0]), 0.5, 0.1)
 
 
@@ -94,15 +88,15 @@ class TestOmegaBases:
             for args in [(z1[i, j], z2[j]), (complex(z1[i, j]), complex(z2[j]))]:
                 for wi, wk in zip(w, omega_basis(*args)):
                     assert np.array_equal(wi[:, i, j], wk)
-        with pytest.raises(PoleAtAxis):
+        with pytest.raises(ChartEvaluationFailure, match="pole at z1 = 0"):
             omega_basis(np.array([0.5, 0.0, 0.3j]), 0.1)
 
     def test_singularities(self):
-        with pytest.raises(PoleAtAxis):
+        with pytest.raises(ChartEvaluationFailure, match="pole at z1 = 0"):
             omega_basis(0.0, 0.1)
-        with pytest.raises(SingularAtCenter):
+        with pytest.raises(ChartEvaluationFailure, match="singular at z1 = zeta0"):
             omega_tilde_basis(0.5, 0.5)
-        with pytest.raises(SingularAtReflectedPole):
+        with pytest.raises(ChartEvaluationFailure, match="at the reflected pole"):
             omega_tilde_basis(2.0, 0.5)
 
 
@@ -134,7 +128,7 @@ class TestPointingDirection:
             assert c2.real == pytest.approx(2 * w.imag / scale, abs=1e-10)
 
     def test_rejects_off_circle_parameter(self):
-        with pytest.raises(BoundaryParameterOffCircle):
+        with pytest.raises(ValueError, match=r"\|zeta\| = 0\.9"):
             pointing_direction(0.5, 0.9)
 
     def test_rejects_on_axis_center(self):
@@ -144,18 +138,14 @@ class TestPointingDirection:
 
 class TestWinding:
     def test_instance(self):
-        assert direction_sweep_winding(0.5, 0.5, -1.0 + 0j) in (-1, 1)
+        assert direction_sweep_winding(0.5, 0.5) in (-1, 1)
 
     def test_nonzero_on_random_scenes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             z2 = (0.1 + 0.8 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             zeta0 = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            assert direction_sweep_winding(z2, zeta0, -1.0 + 0j) != 0
-
-    def test_singular_target(self):
-        with pytest.raises(SingularAtCenter):
-            direction_sweep_winding(0.5, 0.5, 0.5 + 0j)
+            assert direction_sweep_winding(z2, zeta0) != 0
 
 
 class TestBroadcast:
@@ -203,11 +193,11 @@ class TestBroadcast:
 
     def test_guards_hold_for_every_element(self):
         circle = np.exp(2j * np.pi * np.arange(8) / 8)
-        with pytest.raises(SingularAtCenter):
+        with pytest.raises(ChartEvaluationFailure, match="singular at z1 = zeta0"):
             omega_tilde_basis(circle, circle[3])
-        with pytest.raises(SingularAtReflectedPole):
+        with pytest.raises(ChartEvaluationFailure, match="at the reflected pole"):
             omega_tilde_basis(np.append(circle, 2.0), 0.5)
-        with pytest.raises(BoundaryParameterOffCircle, match="0.9"):
+        with pytest.raises(ValueError, match=r"\|zeta\| = 0\.9"):
             pointing_direction(0.5, np.append(circle, 0.9))
 
 

@@ -16,11 +16,7 @@ from disctrace.discs import (
     disc_through_two_points,
     lift,
 )
-from disctrace.errors import (
-    CoincidentPoints,
-    LineMissesBall,
-    ZeroDirection,
-)
+from disctrace.errors import CollinearPoints, LineMissesBall, NoSolution
 from disctrace.geometry import (
     PHASE_EPS,
     CP1Point,
@@ -99,7 +95,7 @@ class TestDiscFromLine:
         assert np.allclose(d1.b.as_array(), d2.b.as_array(), atol=1e-13)
 
     def test_zero_direction(self):
-        with pytest.raises(ZeroDirection):
+        with pytest.raises(ValueError, match="line direction is zero"):
             disc_from_line(Complex2(0.1, 0.0), Complex2(0.0, 0.0))
 
     def test_line_missing_ball(self):
@@ -143,7 +139,7 @@ class TestDiscThroughTwoPoints:
             assert np.allclose(d1.b.as_array(), d2.b.as_array(), atol=1e-12)
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(CollinearPoints, match="needs distinct points"):
             disc_through_two_points(Complex2(0.1, 0.0), Complex2(0.1, 0.0))
 
     def test_two_sphere_points_rejected(self):
@@ -227,6 +223,15 @@ class TestDiscFromLiftPoint:
     def test_rejects_boundary_base(self):
         with pytest.raises(ValueError):
             disc_from_lift_point(Complex2(1.0, 0.0), CP1Point(1.0, 0.0))
+
+    def test_round_trip_guard_near_the_sphere(self):
+        # at |z|^2 = 1 - 1e-8 the recovered disc's lift misses [zeta] by
+        # 1.4e-9, above the 1e-10 guard; at 1 - 1e-6 it is within it
+        zeta = CP1Point(1.0, 1j)
+        with pytest.raises(NoSolution, match=r"residual 1\.39\de-09"):
+            disc_from_lift_point(Complex2(np.sqrt(1.0 - 1e-8), 0.0), zeta)
+        disc, tau0 = disc_from_lift_point(Complex2(np.sqrt(1.0 - 1e-6), 0.0), zeta)
+        assert cp1_distance(lift(disc, tau0).zeta, zeta) < 1e-10
 
 
 def _reference_disc_from_line(p, v):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from disctrace.errors import OutsideClosedBall
 from disctrace.geometry import (
     BallAutomorphism,
     CP1Point,
@@ -171,7 +170,7 @@ class TestBallAutomorphism:
 
     def test_rejects_exterior_point(self):
         phi = BallAutomorphism(Complex2(0, 0), -np.eye(2))
-        with pytest.raises(OutsideClosedBall):
+        with pytest.raises(ValueError, match=r"\|z\| = 1\.\d+ > 1"):
             apply_automorphism(phi, Complex2(1.1, 0.2))
 
     def test_rejects_non_unitary(self):

@@ -8,7 +8,7 @@ from disctrace.discs import (
     disc_through_two_points,
     lift,
 )
-from disctrace.errors import NotExtendible, NotInFamily
+from disctrace.errors import NotExtendible
 from disctrace.geometry import Complex2
 from disctrace.moments import (
     LaurentPolynomial,
@@ -218,7 +218,7 @@ class TestLiftedValue:
         f = HermitianPolynomial()
         disc = disc_from_line(Complex2(0.5, 0.0), Complex2(0.0, 1.0))
         lp = lift(disc, 0.3)
-        with pytest.raises(NotInFamily):
+        with pytest.raises(ValueError, match="does not pass through the family center"):
             lifted_value(f, Complex2(-0.5, 0.0), lp)
 
 
