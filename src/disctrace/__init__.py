@@ -3,10 +3,7 @@ lifts, and moment tests for disc-wise holomorphic extendibility."""
 
 from .boundary import (
     HermitianPolynomial,
-    evaluate,
-    holomorphic_defect,
     reduced_basis,
-    sphere_inner_product,
 )
 from .discs import (
     LiftPoint,
@@ -27,11 +24,9 @@ from .geometry import (
 )
 from .moments import (
     ExtendibilityReport,
-    LaurentPolynomial,
     extendibility_test,
     extension_value,
     lifted_value,
-    restrict_to_disc,
 )
 from .verification import (
     KernelReport,
@@ -54,7 +49,6 @@ __all__ = [
     "ExtendibilityReport",
     "HermitianPolynomial",
     "KernelReport",
-    "LaurentPolynomial",
     "LiftPoint",
     "MomentMatrix",
     "StraightDisc",
@@ -65,20 +59,16 @@ __all__ = [
     "disc_from_lift_point",
     "disc_from_line",
     "disc_through_two_points",
-    "evaluate",
     "extendibility_test",
     "extension_consistency",
     "extension_value",
     "family_experiment",
     "hermitian_inner",
-    "holomorphic_defect",
     "kernel_experiment",
     "lemma_suite",
     "lift",
     "lifted_value",
     "one_point_control",
     "reduced_basis",
-    "restrict_to_disc",
     "sample_disc_family",
-    "sphere_inner_product",
 ]

@@ -19,8 +19,6 @@ from math import factorial
 
 import numpy as np
 
-from .geometry import Complex2
-
 MAX_DEGREE = 12
 
 # key: (alpha1, alpha2, beta1, beta2)
@@ -132,18 +130,6 @@ class HermitianPolynomial:
             return HermitianPolynomial.from_json_dict(json.load(fh))
 
 
-def evaluate(f: HermitianPolynomial, z: Complex2) -> complex:
-    """Evaluate f at a sphere point."""
-    if abs(z.norm() - 1.0) > 1e-10:
-        raise ValueError(f"|z| = {z.norm():.12f}")
-    z1, z2 = z.z1, z.z2
-    w1, w2 = np.conj(z1), np.conj(z2)
-    total = 0.0 + 0.0j
-    for (a1, a2, b1, b2), c in f.terms.items():
-        total += c * z1**a1 * z2**a2 * w1**b1 * w2**b2
-    return complex(total)
-
-
 def reduced_basis(d: int) -> list[MultiIndexPair]:
     """All normal-form multi-index pairs of total degree <= d, in fixed
     lexicographic order."""
@@ -167,20 +153,6 @@ def _monomial_integral(a1: int, a2: int, b1: int, b2: int) -> float:
     return factorial(a1) * factorial(a2) / factorial(a1 + a2 + 1)
 
 
-def sphere_inner_product(f: HermitianPolynomial, g: HermitianPolynomial) -> complex:
-    """Exact L^2 inner product <f, g> = integral f * conj(g) dsigma."""
-    total = 0.0 + 0.0j
-    for (a1, a2, b1, b2), cf in f.terms.items():
-        for (c1, c2, d1, d2), cg in g.terms.items():
-            # conj(g) swaps its alpha and beta
-            total += (
-                cf
-                * np.conj(cg)
-                * _monomial_integral(a1 + d1, a2 + d2, b1 + c1, b2 + c2)
-            )
-    return complex(total)
-
-
 def gram_matrix(basis: list[MultiIndexPair]) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = <b_j, b_i> of sphere monomials."""
     e = np.array(basis, dtype=int).reshape(-1, 4)
@@ -194,46 +166,3 @@ def gram_matrix(basis: list[MultiIndexPair]) -> np.ndarray:
         [[_monomial_integral(i, j, i, j) for j in range(top + 1)] for i in range(top + 1)]
     )
     return np.where(match, table[p, q], 0.0).astype(complex)
-
-
-def holomorphic_basis(d: int) -> list[MultiIndexPair]:
-    """Multi-indices of the holomorphic monomials z^alpha with |alpha| <= d."""
-    return [(a1, a2, 0, 0) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
-
-
-def holomorphic_defect(f: HermitianPolynomial) -> float:
-    """L^2 distance from f to the span of holomorphic monomials of degree
-    up to deg f; zero iff f is a holomorphic polynomial trace.
-
-    The projections are subtracted coefficient by coefficient and the norm
-    of the residual polynomial is taken exactly: sqrt(|f|^2 - sum |proj|^2)
-    cannot resolve a defect below sqrt(eps) * |f|.
-    """
-    residual = f
-    for a1, a2, _, _ in holomorphic_basis(f.degree):
-        mono = HermitianPolynomial.monomial((a1, a2), (0, 0))
-        proj = sphere_inner_product(f, mono) / _monomial_integral(a1, a2, a1, a2)
-        residual = residual + (-proj) * mono
-    return float(np.sqrt(max(0.0, sphere_inner_product(residual, residual).real)))
-
-
-def hopf_quadrature_inner(f: HermitianPolynomial, g: HermitianPolynomial) -> complex:
-    """Quadrature cross-check of the exact inner product: product
-    trapezoidal rule in the two Hopf angles, Gauss-Legendre in the radial
-    Hopf parameter, with 64 angles and 32 radial nodes."""
-    n_radial, n_phi = 32, 64
-    u, wu = np.polynomial.legendre.leggauss(n_radial)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    phis = 2 * np.pi * np.arange(n_phi) / n_phi
-    Z1 = np.sqrt(1.0 - u)[:, None, None] * np.exp(1j * phis)[None, :, None]
-    Z2 = np.sqrt(u)[:, None, None] * np.exp(1j * phis)[None, None, :]
-
-    def grid_eval(p: HermitianPolynomial) -> np.ndarray:
-        out = np.zeros((n_radial, n_phi, n_phi), dtype=complex)
-        for (a1, a2, b1, b2), c in p.terms.items():
-            out += c * Z1**a1 * Z2**a2 * np.conj(Z1) ** b1 * np.conj(Z2) ** b2
-        return out
-
-    vals = grid_eval(f) * np.conj(grid_eval(g))
-    return complex(np.sum(wu * np.mean(vals, axis=(1, 2))))

@@ -85,9 +85,14 @@ def _check_report_path(path: str | None) -> None:
     without creating or truncating the file."""
     if path is None:
         return
-    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
+    elif os.path.exists(parent) and not os.path.isdir(parent):
+        code = errno.ENOTDIR
     elif not os.access(target, os.W_OK):
         code = errno.EACCES if os.path.exists(target) else errno.ENOENT
     else:

@@ -140,18 +140,6 @@ def _family_cubic(P: Complex2, z: Complex2) -> tuple[np.ndarray, np.ndarray]:
     return s * zv + r * d, dc
 
 
-def family_class(P: Complex2, z: Complex2) -> CP1Point:
-    """Lift class [conj c_P(z)] at z of the straight disc through P and z.
-
-    On the disc a + tau*b, z - P = m*b gives c_P(z) = m|b|^2 (conj(tau) a + b):
-    the class of discs.lift, with no disc and no tau.  On the sphere it is
-    [conj z] for every P.  Raises ChartEvaluationFailure within 1e-6 of the
-    singular fiber z = P.
-    """
-    c, _ = _family_cubic(P, z)
-    return CP1Point(np.conj(c[0]), np.conj(c[1]))
-
-
 def family_tangent(P: Complex2, z: Complex2) -> np.ndarray:
     """Exact 6x4 real tangent [I4; dZ_P] at z of the lifted family through
     P, the graph of z3 = conj(c2/c1) over the ball minus P.

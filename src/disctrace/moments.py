@@ -12,9 +12,9 @@ are evaluated directly at A(tau0)), and the rest, whose Laurent
 coefficients come from _boundary_dft, the one DFT of samples at the 2D + 2
 roots of unity (D the top degree) that also builds the moment matrix of
 verification.build_moment_matrix; the DFT is exact because the restriction
-has degrees in [-D, D].  restrict_to_disc, the exact
-coefficient-by-coefficient restriction, is the oracle the tests compare
-them with.
+has degrees in [-D, D].  The tests compare them with the exact
+coefficient-by-coefficient restriction, restrict_to_disc in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,75 +33,9 @@ MOMENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LaurentPolynomial:
-    """Finite two-sided coefficient sequence {k: c_k}, k in [-K, K]."""
-
-    coeffs: dict[int, complex]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            {int(k): complex(c) for k, c in self.coeffs.items() if c != 0},
-        )
-
-    def __getitem__(self, k: int) -> complex:
-        return self.coeffs.get(k, 0.0 + 0.0j)
-
-    def max_negative_modulus(self) -> float:
-        return max((abs(c) for k, c in self.coeffs.items() if k < 0), default=0.0)
-
-    def eval_nonnegative(self, tau: complex) -> complex:
-        """Value at tau of the k >= 0 part (the holomorphic extension)."""
-        return complex(
-            sum(c * tau**k for k, c in self.coeffs.items() if k >= 0)
-        )
-
-    def eval_circle(self, tau: complex) -> complex:
-        return complex(sum(c * tau**k for k, c in self.coeffs.items()))
-
-
-@dataclass(frozen=True)
 class ExtendibilityReport:
     max_negative_modulus: float
     verdict: bool
-
-
-def _poly_pow(base: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of base(tau)^n, ascending degree."""
-    out = np.array([1.0 + 0.0j])
-    for _ in range(n):
-        out = np.convolve(out, base)
-    return out
-
-
-def restrict_to_disc(f: HermitianPolynomial, A: StraightDisc) -> LaurentPolynomial:
-    """Exact Laurent expansion of f(A(tau)) on |tau| = 1."""
-    a, b = A.a.as_array(), A.b.as_array()
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def powers(idx: int, conj: bool, n: int) -> np.ndarray:
-        key = (idx + (2 if conj else 0), n)
-        if key not in cache:
-            if conj:
-                base = np.array([np.conj(a[idx]), np.conj(b[idx])])
-            else:
-                base = np.array([a[idx], b[idx]])
-            cache[key] = _poly_pow(base, n)
-        return cache[key]
-
-    out: dict[int, complex] = {}
-    for (a1, a2, b1, b2), c in f.terms.items():
-        pos = np.convolve(powers(0, False, a1), powers(1, False, a2))
-        neg = np.convolve(powers(0, True, b1), powers(1, True, b2))
-        # pos has degrees 0..|alpha| in tau, neg degrees 0..|beta| in 1/tau
-        full = np.convolve(pos, neg[::-1])  # degrees -|beta|..|alpha|
-        lo = -(b1 + b2)
-        for i, coeff in enumerate(full):
-            k = lo + i
-            if coeff != 0:
-                out[k] = out.get(k, 0.0) + c * coeff
-    return LaurentPolynomial(out)
 
 
 def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, D: int) -> np.ndarray:

@@ -89,9 +89,9 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 
     The coefficients -1..-d of every non-holomorphic monomial come from
     moments._boundary_dft, the boundary DFT that the moment test shares,
-    which is exact for these Laurent polynomials (restrict_to_disc is the
-    scalar oracle).  Discs are processed in blocks of at most _BLOCK_BYTES
-    of samples.
+    which is exact for these Laurent polynomials (the tests compare it with
+    the scalar oracle restrict_to_disc in tests/oracles.py).  Discs are
+    processed in blocks of at most _BLOCK_BYTES of samples.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -146,13 +146,6 @@ class KernelReport:
         out[holo, np.arange(len(holo))] = 1.0
         out[nh, len(holo) :] = self.null_vectors
         return out
-
-    def kernel_polynomials(self) -> list[HermitianPolynomial]:
-        K = self.kernel_basis
-        return [
-            HermitianPolynomial({k: K[i, j] for i, k in enumerate(self.basis)})
-            for j in range(K.shape[1])
-        ]
 
     def to_json_dict(self) -> dict:
         return {

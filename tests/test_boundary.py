@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from disctrace.boundary import (
     MAX_DEGREE,
     HermitianPolynomial,
-    evaluate,
     gram_matrix,
+    reduced_basis,
+)
+from disctrace.geometry import Complex2
+from oracles import (
+    evaluate,
     holomorphic_basis,
     holomorphic_defect,
     hopf_quadrature_inner,
-    reduced_basis,
     sphere_inner_product,
 )
-from disctrace.geometry import Complex2
 
 
 small_indices = st.tuples(

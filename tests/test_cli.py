@@ -389,15 +389,18 @@ class TestUsageErrors:
         }[command]
         self.assert_usage_error([*argv, "--function", str(tmp_path)], capsys)
 
-    @pytest.mark.parametrize("command", ["lemmas", "kernel"])
-    def test_report_path_not_writable(self, command, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("case", ["lemmas", "kernel", "parent-is-file", "empty"])
+    def test_report_path_not_writable(self, case, tmp_path, monkeypatch, capsys):
         # checked before the run, which used to take seconds at degree 12
         self.forbid_sampling(monkeypatch)
+        (tmp_path / "file").write_text("")
         argv = {
             "lemmas": ["lemmas", "--out", str(tmp_path / "missing" / "r.json")],
             "kernel": ["kernel", "--points", *SCENE, "--degree", "2",
                        "--discs", "10", "--out", str(tmp_path)],
-        }[command]
+            "parent-is-file": ["lemmas", "--out", str(tmp_path / "file" / "r.json")],
+            "empty": ["lemmas", "--out", ""],
+        }[case]
         self.assert_usage_error(argv, capsys)
 
     def test_report_path_check_writes_nothing(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ from disctrace import crlifts
 from disctrace.crlifts import (
     contract,
     direction_sweep_winding,
-    family_class,
     family_tangent,
     m0_defining_value,
     omega_basis,
@@ -17,6 +16,7 @@ from disctrace.discs import LiftPoint, disc_from_line, disc_through_two_points, 
 from disctrace.errors import ChartEvaluationFailure
 from disctrace.geometry import CP1Point, Complex2, cp1_distance
 from disctrace.verification import random_direction, random_interior_point
+from oracles import family_class
 
 
 class TestDefiningFunction:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disctrace.boundary import HermitianPolynomial, evaluate, reduced_basis
+from disctrace.boundary import HermitianPolynomial, reduced_basis
 from disctrace.discs import (
     boundary_point,
     disc_from_line,
@@ -11,13 +11,12 @@ from disctrace.discs import (
 from disctrace.errors import NotExtendible
 from disctrace.geometry import Complex2
 from disctrace.moments import (
-    LaurentPolynomial,
     extendibility_test,
     extension_value,
     lifted_value,
-    restrict_to_disc,
 )
 from disctrace.verification import sample_disc_family
+from oracles import LaurentPolynomial, evaluate, restrict_to_disc
 
 
 def random_disc(rng, rmax=0.9):
