@@ -9,12 +9,13 @@ the disc iff its negative coefficients vanish.
 The moment test and the extension values split f into its holomorphic
 terms, which have no negative Laurent terms and extend as themselves (they
 are evaluated directly at A(tau0)), and the rest, whose Laurent
-coefficients come from _boundary_dft, the one DFT of samples at the 2D + 2
-roots of unity (D the top degree) that also builds the moment matrix of
-verification.build_moment_matrix; the DFT is exact because the restriction
-has degrees in [-D, D].  The tests compare them with the exact
-coefficient-by-coefficient restriction, restrict_to_disc in
-tests/oracles.py.
+coefficients come from _boundary_dft, the one boundary DFT that also builds
+the moment matrix of verification.build_moment_matrix.  The moment test
+samples at the 2D + 2 roots of unity (D the top degree): the restriction of
+a sum of monomials has degrees in [-D, D], so the DFT is exact.  The moment
+matrix samples each monomial at d + 1 points, enough for its own Laurent
+window.  The tests compare both with the exact coefficient-by-coefficient
+restriction, restrict_to_disc in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -38,19 +39,21 @@ class ExtendibilityReport:
     verdict: bool
 
 
-def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, D: int) -> np.ndarray:
+def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, N: int) -> np.ndarray:
     """Unnormalized DFT along tau of the monomials z^alpha conj(z)^beta with
-    exponent rows e = (alpha1, alpha2, beta1, beta2), |alpha| + |beta| <= D,
-    on the boundaries of the discs a + tau*b ((n, 2) arrays), sampled at the
-    N = 2D + 2 roots of unity; shape (n, N, len(e)).
+    exponent rows e = (alpha1, alpha2, beta1, beta2) on the boundaries of
+    the discs a + tau*b ((n, 2) arrays), sampled at the N roots of unity;
+    shape (n, N, len(e)).
 
-    Divided by N, index k holds the Laurent coefficient k for k = 0..D and
-    index -k (that is, N - k) the coefficient -k.
+    Divided by N, index k holds the sum of the Laurent coefficients j with
+    j = k mod N.  A monomial has coefficients only in [-|beta|, |alpha|], so
+    index k holds its coefficient k for 0 <= k <= |alpha| and index N - k its
+    coefficient -k for 1 <= k <= |beta| whenever N > |alpha| + |beta|; a sum
+    of monomials of degree <= D needs N > 2D.
     """
-    N = 2 * D + 2
     tau = np.exp(2j * np.pi * np.arange(N) / N)
     z = a[:, None, :] + tau[None, :, None] * b[:, None, :]
-    zp = z[..., None] ** np.arange(D + 1)  # (n, N, 2, D + 1)
+    zp = z[..., None] ** np.arange(e.max() + 1)  # (n, N, 2, max exponent + 1)
     zc = zp.conj()
     samples = zp[:, :, 0, e[:, 0]]
     samples *= zp[:, :, 1, e[:, 1]]
@@ -70,8 +73,9 @@ def _nonholomorphic_coefficients(
     e, coeffs, D = f.nonholomorphic_terms
     if not coeffs.size:
         return coeffs, coeffs
-    dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, D)[0]
-    c = dft @ coeffs / (2 * D + 2)
+    N = 2 * D + 2  # the window [-D, D] of a sum of monomials has 2D + 1 terms
+    dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, N)[0]
+    c = dft @ coeffs / N
     return c[: D + 1], c[-1 : -D - 1 : -1]
 
 

@@ -73,10 +73,11 @@ class MomentMatrix:
     basis: list[tuple[int, int, int, int]]
 
 
-def _nonholomorphic(basis) -> np.ndarray:
-    """Mask of the basis monomials with a conjugate factor."""
+def _conjugate_degree(basis) -> np.ndarray:
+    """|beta| of each basis monomial z^alpha conj(z)^beta; the monomials
+    with a conjugate factor are those with |beta| > 0."""
     e = np.array(basis).reshape(-1, 4)
-    return e[:, 2] + e[:, 3] > 0
+    return e[:, 2] + e[:, 3]
 
 
 # working-set cap of one assembly block, in bytes of complex samples
@@ -89,28 +90,33 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 
     The coefficients -1..-d of every non-holomorphic monomial come from
     moments._boundary_dft, the boundary DFT that the moment test shares,
-    which is exact for these Laurent polynomials (the tests compare it with
-    the scalar oracle restrict_to_disc in tests/oracles.py).  Discs are
-    processed in blocks of at most _BLOCK_BYTES of samples.
+    at d + 1 samples per disc: the Laurent window [-|beta|, |alpha|] of one
+    monomial has at most d + 1 terms, so the DFT is exact (the tests compare
+    it with the scalar oracle restrict_to_disc in tests/oracles.py).  The
+    coefficient -k of a monomial with |beta| < k is zero by construction;
+    there the DFT holds its coefficient d + 1 - k, so those entries are set
+    to exactly 0.0.  Discs are processed in blocks of at most _BLOCK_BYTES
+    of samples.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     if not discs:
         raise ValueError("need at least one disc")
     full = reduced_basis(d)
-    basis = [k for k, nh in zip(full, _nonholomorphic(full)) if nh]
+    basis = [k for k, beta in zip(full, _conjugate_degree(full)) if beta > 0]
     e = np.array(basis)
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
-    N = 2 * d + 2
-    # Fortran order: the QR and SVD of _nullspace_report round differently
-    # on a C-order copy, and their bits set every reported singular value
-    out = np.empty((len(discs) * d, len(basis)), dtype=complex, order="F")
+    N = d + 1
+    # (k - 1, column) of the coefficients -k with k > |beta|
+    structural_zeros = np.arange(1, d + 1)[:, None] > _conjugate_degree(basis)[None, :]
+    out = np.empty((len(discs) * d, len(basis)), dtype=complex)
     step = max(1, _BLOCK_BYTES // (16 * N * len(basis)))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
-        coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, d)[:, -1 : -d - 1 : -1, :]
+        coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, N)[:, -1 : -d - 1 : -1, :]
         coeffs /= N
+        coeffs[:, structural_zeros] = 0.0
         out[lo * d : hi * d] = coeffs.reshape(-1, len(basis))
     return MomentMatrix(out, basis)
 
@@ -138,7 +144,7 @@ class KernelReport:
     def kernel_basis(self) -> np.ndarray:
         """Columns: orthonormal coefficient vectors over the basis, the
         holomorphic coordinate directions first."""
-        nh = _nonholomorphic(self.basis)
+        nh = _conjugate_degree(self.basis) > 0
         holo = np.flatnonzero(~nh)
         out = np.zeros(
             (len(self.basis), len(holo) + self.null_vectors.shape[1]), dtype=complex
@@ -197,20 +203,36 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     Ill-Posed Problems, 1998), so full rank is decided by s_min / floor and
     no cutoff is set by the user.
 
+    The singular values come from a square R with R^H R = A^H A, A the
+    row-normalized M_nh with its columns sorted by |beta|.  A degree-k row
+    of M_nh is zero in the columns with |beta| < k, so R is built one
+    degree at a time: the degree-k rows, restricted to the columns with
+    |beta| >= k and row-normalized, are stacked under the rows carried from
+    degree k - 1 and reduced by a QR.  Its first rows, one per column with
+    |beta| = k, go into R; the rest are zero in those columns and are
+    carried to degree k + 1.  No normalized copy of all of M_nh is formed,
+    and no QR runs on all of it.
+
     Singular vectors are computed only when the rank is short, the only
     case with null vectors.  The kernel contains the holomorphic span by
     construction, so its angle to that span is reported as 0.0."""
     M = matrix.matrix
-    norms = np.linalg.norm(M, axis=1)
-    M = M / np.where(norms > 0, norms, 1.0)[:, None]
     nrows, ncols = M.shape
-    if nrows > ncols:
-        # R of M = QR has the singular values and right singular vectors of
-        # M, without a rows x cols U
-        M = np.linalg.qr(M, mode="r")
-    s = np.linalg.svd(M, compute_uv=False)
-    svals = np.zeros(ncols)
-    svals[: len(s)] = s
+    beta = _conjugate_degree(matrix.basis)
+    order = np.argsort(beta, kind="stable")
+    # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
+    starts = np.searchsorted(beta[order], np.arange(1, d + 2))
+    R = np.zeros((ncols, ncols), dtype=complex)  # rows stay zero where rows run short
+    carried = np.zeros((0, ncols), dtype=complex)
+    for k in range(1, d + 1):
+        lo, width = starts[k - 1], starts[k] - starts[k - 1]
+        block = M[k - 1 :: d, order[lo:]]
+        norms = np.linalg.norm(block, axis=1)
+        block /= np.where(norms > 0, norms, 1.0)[:, None]
+        r = np.linalg.qr(np.vstack([carried, block]), mode="r")
+        R[lo : lo + min(width, len(r)), lo:] = r[:width]
+        carried = r[width:, width:]
+    svals = np.linalg.svd(R, compute_uv=False)
     floor = np.finfo(float).eps * svals[0]
     steps = np.append(np.maximum(svals, floor), floor)
     ratios = steps[:-1] / steps[1:]
@@ -225,11 +247,9 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
             "and 2.2 or more at degree 12"
         )
 
-    null = np.zeros((ncols, 0), dtype=complex)
+    null = np.zeros((ncols, ncols - rank), dtype=complex)
     if rank < ncols:
-        # the thin Vh lacks kernel rows only when there are fewer rows than columns
-        Vh = np.linalg.svd(M, full_matrices=nrows < ncols)[2]
-        null = Vh[rank:].conj().T
+        null[order] = np.linalg.svd(R)[2][rank:].conj().T
     basis = reduced_basis(d)
     hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])

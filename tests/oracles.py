@@ -14,7 +14,9 @@ way:
   holomorphic polynomials; hopf_quadrature_inner cross-checks the inner
   product by quadrature;
 - family_class: the lift class of the disc through P and z, with no disc;
-- kernel_polynomials: the kernel of a KernelReport as polynomials.
+- kernel_polynomials: the kernel of a KernelReport as polynomials;
+- dense_singular_values: the singular values of the row-normalized moment
+  matrix from one QR of all of it, without the |beta| staircase.
 """
 
 from __future__ import annotations
@@ -183,3 +185,15 @@ def kernel_polynomials(report: KernelReport) -> list[HermitianPolynomial]:
         HermitianPolynomial({k: K[i, j] for i, k in enumerate(report.basis)})
         for j in range(K.shape[1])
     ]
+
+
+def dense_singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of M with unit rows (zero rows kept), descending and
+    padded with zeros to one per column: the R of one QR of all of M, then a
+    values-only SVD."""
+    norms = np.linalg.norm(M, axis=1)
+    M = M / np.where(norms > 0, norms, 1.0)[:, None]
+    s = np.linalg.svd(np.linalg.qr(M, mode="r"), compute_uv=False)
+    out = np.zeros(M.shape[1])
+    out[: len(s)] = s
+    return out
