@@ -27,7 +27,8 @@ from .verification import (
 )
 
 # a disc family holds one Python object per disc; the kernel command's
-# stability run also builds a complex moment matrix of 3 * 2n * d rows
+# stability run also stores the |beta| staircase of M_nh: for 3 * 2n discs,
+# one complex entry per monomial z^alpha conj(z)^beta and k = 1..|beta|
 _MAX_DISCS = 100_000
 _MAX_MATRIX_BYTES = 2**30
 
@@ -135,7 +136,7 @@ def _check_discs(n: int, limit: int = _MAX_DISCS) -> None:
 
 def _kernel_disc_limit(d: int) -> int:
     """The largest --discs whose doubled moment matrix fits in 1 GiB."""
-    per_disc = 16 * 3 * 2 * d * len(reduced_basis(d))
+    per_disc = 16 * 3 * 2 * sum(k[2] + k[3] for k in reduced_basis(d))
     return min(_MAX_DISCS, _MAX_MATRIX_BYTES // per_disc) if d else _MAX_DISCS
 
 

@@ -61,23 +61,44 @@ def sample_disc_family(P: Complex2, n: int, seed: int) -> list[StraightDisc]:
     return discs
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """The non-holomorphic block M_nh of the moment matrix.  Rows: (disc
-    index, negative degree k in 1..d); columns: the reduced basis monomials
-    with a conjugate factor; entry = Laurent coefficient at -k of the
-    monomial restricted to the disc.  Holomorphic monomials have no
-    negative terms: their columns are zero by theorem and are not stored."""
-
-    matrix: np.ndarray
-    basis: list[tuple[int, int, int, int]]
-
-
 def _conjugate_degree(basis) -> np.ndarray:
     """|beta| of each basis monomial z^alpha conj(z)^beta; the monomials
     with a conjugate factor are those with |beta| > 0."""
     e = np.array(basis).reshape(-1, 4)
     return e[:, 2] + e[:, 3]
+
+
+def _staircase_order(basis) -> np.ndarray:
+    """The basis positions sorted by |beta|, stably: the columns with
+    |beta| >= k are a suffix of this order for every k."""
+    return np.argsort(_conjugate_degree(basis), kind="stable")
+
+
+@dataclass(frozen=True)
+class MomentMatrix:
+    """The non-holomorphic block M_nh of the moment matrix, stored as its
+    |beta| staircase.  blocks[k - 1], k = 1..d, holds the Laurent
+    coefficient -k of the monomials with |beta| >= k restricted to each
+    disc: one row per disc, one column per such monomial, the columns in
+    the suffix of _staircase_order(basis) of that length.  basis lists the
+    reduced monomials with a conjugate factor in reduced_basis order.  The
+    coefficient -k of a monomial with |beta| < k is zero by construction
+    and is not stored; neither are the holomorphic monomials, whose columns
+    are zero by theorem."""
+
+    blocks: list[np.ndarray]
+    basis: list[tuple[int, int, int, int]]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """M_nh as a dense array: rows (disc index, negative degree k in
+        1..d), columns in basis order, exactly 0.0 where |beta| < k."""
+        d, ncols = len(self.blocks), len(self.basis)
+        order = _staircase_order(self.basis)
+        out = np.zeros((len(self.blocks[0]) * d, ncols), dtype=complex)
+        for k, block in enumerate(self.blocks, 1):
+            out[k - 1 :: d, order[ncols - block.shape[1] :]] = block
+        return out
 
 
 # working-set cap of one assembly block, in bytes of complex samples
@@ -86,17 +107,18 @@ _BLOCK_BYTES = 4 << 20
 
 def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     """The block M_nh of the moment matrix of the reduced monomials of
-    degree <= d along the given discs.
+    degree <= d along the given discs, as its |beta| staircase.
 
     The coefficients -1..-d of every non-holomorphic monomial come from
     moments._boundary_dft, the boundary DFT that the moment test shares,
     at d + 1 samples per disc: the Laurent window [-|beta|, |alpha|] of one
     monomial has at most d + 1 terms, so the DFT is exact (the tests compare
     it with the scalar oracle restrict_to_disc in tests/oracles.py).  The
-    coefficient -k of a monomial with |beta| < k is zero by construction;
-    there the DFT holds its coefficient d + 1 - k, so those entries are set
-    to exactly 0.0.  Discs are processed in blocks of at most _BLOCK_BYTES
-    of samples.
+    DFT runs on the columns in |beta| order, and its coefficient -k of the
+    monomials with |beta| >= k, a suffix of that order, goes straight into
+    block k; where |beta| < k it holds the coefficient d + 1 - k and is
+    not read.  Discs are processed in blocks of at most _BLOCK_BYTES of
+    samples.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -104,21 +126,20 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         raise ValueError("need at least one disc")
     full = reduced_basis(d)
     basis = [k for k, beta in zip(full, _conjugate_degree(full)) if beta > 0]
-    e = np.array(basis)
+    e = np.array(basis)[_staircase_order(basis)]
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
     N = d + 1
-    # (k - 1, column) of the coefficients -k with k > |beta|
-    structural_zeros = np.arange(1, d + 1)[:, None] > _conjugate_degree(basis)[None, :]
-    out = np.empty((len(discs) * d, len(basis)), dtype=complex)
+    # starts[k - 1]: the number of columns with |beta| < k
+    starts = np.searchsorted(np.sort(_conjugate_degree(basis)), np.arange(1, d + 1))
+    blocks = [np.empty((len(discs), len(basis) - s), dtype=complex) for s in starts]
     step = max(1, _BLOCK_BYTES // (16 * N * len(basis)))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
-        coeffs = _boundary_dft(a[lo:hi], b[lo:hi], e, N)[:, -1 : -d - 1 : -1, :]
-        coeffs /= N
-        coeffs[:, structural_zeros] = 0.0
-        out[lo * d : hi * d] = coeffs.reshape(-1, len(basis))
-    return MomentMatrix(out, basis)
+        f = _boundary_dft(a[lo:hi], b[lo:hi], e, N)
+        for k, (s, block) in enumerate(zip(starts, blocks), 1):
+            np.divide(f[:, N - k, s:], N, out=block[lo:hi])
+    return MomentMatrix(blocks, basis)
 
 
 @dataclass(frozen=True)
@@ -206,27 +227,26 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     The singular values come from a square R with R^H R = A^H A, A the
     row-normalized M_nh with its columns sorted by |beta|.  A degree-k row
     of M_nh is zero in the columns with |beta| < k, so R is built one
-    degree at a time: the degree-k rows, restricted to the columns with
-    |beta| >= k and row-normalized, are stacked under the rows carried from
-    degree k - 1 and reduced by a QR.  Its first rows, one per column with
-    |beta| = k, go into R; the rest are zero in those columns and are
-    carried to degree k + 1.  No normalized copy of all of M_nh is formed,
-    and no QR runs on all of it.
+    degree at a time from the staircase blocks of matrix, which this
+    consumes: block k, the degree-k rows restricted to the columns with
+    |beta| >= k, is taken out of matrix.blocks, row-normalized in place,
+    stacked under the rows carried from degree k - 1 and reduced by a QR.
+    Its first rows, one per column with |beta| = k, go into R; the rest
+    are zero in those columns and are carried to degree k + 1.  The dense
+    M_nh is never formed, and no QR runs on all of it.
 
     Singular vectors are computed only when the rank is short, the only
     case with null vectors.  The kernel contains the holomorphic span by
     construction, so its angle to that span is reported as 0.0."""
-    M = matrix.matrix
-    nrows, ncols = M.shape
-    beta = _conjugate_degree(matrix.basis)
-    order = np.argsort(beta, kind="stable")
+    ncols = len(matrix.basis)
+    nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
-    starts = np.searchsorted(beta[order], np.arange(1, d + 2))
+    starts = [ncols - block.shape[1] for block in matrix.blocks] + [ncols]
     R = np.zeros((ncols, ncols), dtype=complex)  # rows stay zero where rows run short
     carried = np.zeros((0, ncols), dtype=complex)
     for k in range(1, d + 1):
+        block = matrix.blocks.pop(0)  # released after its QR
         lo, width = starts[k - 1], starts[k] - starts[k - 1]
-        block = M[k - 1 :: d, order[lo:]]
         norms = np.linalg.norm(block, axis=1)
         block /= np.where(norms > 0, norms, 1.0)[:, None]
         r = np.linalg.qr(np.vstack([carried, block]), mode="r")
@@ -249,7 +269,7 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
 
     null = np.zeros((ncols, ncols - rank), dtype=complex)
     if rank < ncols:
-        null[order] = np.linalg.svd(R)[2][rank:].conj().T
+        null[_staircase_order(matrix.basis)] = np.linalg.svd(R)[2][rank:].conj().T
     basis = reduced_basis(d)
     hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])

@@ -307,15 +307,19 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "lemma_suite", fail)
 
     def test_kernel_disc_limit_is_the_1_gib_matrix(self):
-        # the doubled run's complex matrix: 3 points, 2n discs, d rows each
-        for d in range(4, MAX_DEGREE + 1):
+        # the doubled run's complex staircase: 3 points, 2n discs, one entry
+        # per monomial and negative degree k <= |beta|; below degree 5 the
+        # 100,000 cap is the smaller one
+        assert cli._kernel_disc_limit(4) == 100_000
+        for d in range(5, MAX_DEGREE + 1):
             limit = cli._kernel_disc_limit(d)
-            per_disc = 16 * 3 * 2 * d * len(reduced_basis(d))
+            stored = sum(k[2] + k[3] for k in reduced_basis(d))
+            per_disc = 16 * 3 * 2 * stored
             assert limit * per_disc <= 2**30 < (limit + 1) * per_disc
-        assert cli._kernel_disc_limit(12) == 1138
+        assert cli._kernel_disc_limit(12) == 2997
 
     @pytest.mark.parametrize(
-        "degree,discs", [("12", "1139"), ("12", "100000"), ("1", "100001")]
+        "degree,discs", [("12", "2998"), ("12", "100000"), ("1", "100001")]
     )
     def test_kernel_too_many_discs(self, degree, discs, monkeypatch, capsys):
         self.forbid_sampling(monkeypatch)

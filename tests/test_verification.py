@@ -128,8 +128,41 @@ class TestMomentMatrix:
         beta = np.array([k[2] + k[3] for k in M.basis])
         zero = np.arange(1, d + 1)[:, None] > beta[None, :]
         assert zero.any()
+        dense = M.matrix
         for i in range(len(discs)):
-            assert np.all(M.matrix[i * d : (i + 1) * d][zero] == 0.0)
+            assert np.all(dense[i * d : (i + 1) * d][zero] == 0.0)
+
+    @pytest.mark.parametrize("d", [4, 8, 12])
+    def test_staircase_storage(self, d):
+        # block k holds, per disc, the coefficient -k of the monomials with
+        # |beta| >= k and nothing else; the dense view puts exact zeros in
+        # the rest
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, 2, seed=d + j))
+        M = build_moment_matrix(d, discs)
+        beta = np.array([k[2] + k[3] for k in M.basis])
+        assert len(M.blocks) == d
+        for k, block in enumerate(M.blocks, 1):
+            assert block.shape == (len(discs), np.sum(beta >= k))
+        assert sum(block.shape[1] for block in M.blocks) == {4: 85, 8: 870, 12: 3731}[d]
+        dense = M.matrix
+        assert dense.shape == (len(discs) * d, len(M.basis))
+        zero = np.arange(1, d + 1)[:, None] > beta[None, :]
+        assert np.all(dense.reshape(len(discs), d, -1)[:, zero] == 0.0)
+
+    def test_kernel_path_never_builds_the_dense_matrix(self, monkeypatch):
+        # the rank step reads the staircase blocks; the dense view is for
+        # readers outside the kernel path
+        def fail(self):
+            raise AssertionError("the dense M_nh was built")
+
+        monkeypatch.setattr(verification.MomentMatrix, "matrix", property(fail))
+        report = family_experiment((P1, P2, P3), 4, 60, seed=7)
+        assert report.kernel_dimension == 15
+        # the rank-short origin control also takes null vectors from R
+        control = one_point_control(P1, d=4, n=60, seed=7)
+        assert control.kernel_dimension == 32
 
     def test_holomorphic_columns_vanish(self):
         # M holds only the non-holomorphic columns, in reduced_basis order;
