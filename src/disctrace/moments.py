@@ -45,6 +45,10 @@ def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, N: int) -> np.nda
     the discs a + tau*b ((n, 2) arrays), sampled at the N roots of unity;
     shape (n, N, len(e)).
 
+    The samples come from a table of z1^i z2^j, 0 <= i, j <= e.max(), at
+    every sample point: each column is one gather from the table (z^alpha)
+    times one gather from its conjugate (conj(z)^beta).
+
     Divided by N, index k holds the sum of the Laurent coefficients j with
     j = k mod N.  A monomial has coefficients only in [-|beta|, |alpha|], so
     index k holds its coefficient k for 0 <= k <= |alpha| and index N - k its
@@ -53,12 +57,12 @@ def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, N: int) -> np.nda
     """
     tau = np.exp(2j * np.pi * np.arange(N) / N)
     z = a[:, None, :] + tau[None, :, None] * b[:, None, :]
-    zp = z[..., None] ** np.arange(e.max() + 1)  # (n, N, 2, max exponent + 1)
-    zc = zp.conj()
-    samples = zp[:, :, 0, e[:, 0]]
-    samples *= zp[:, :, 1, e[:, 1]]
-    samples *= zc[:, :, 0, e[:, 2]]
-    samples *= zc[:, :, 1, e[:, 3]]
+    m = e.max() + 1
+    zp = z[..., None] ** np.arange(m)  # (n, N, 2, m)
+    table = (zp[:, :, 0, :, None] * zp[:, :, 1, None, :]).reshape(len(a), N, m * m)
+    alpha, beta = (e[:, ::2] * m + e[:, 1::2]).T  # positions of z^alpha, z^beta
+    samples = table.take(alpha, axis=2)
+    samples *= table.conj().take(beta, axis=2)
     return np.fft.fft(samples, axis=1)
 
 

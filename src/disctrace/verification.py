@@ -101,8 +101,14 @@ class MomentMatrix:
         return out
 
 
-# working-set cap of one assembly block, in bytes of complex samples
-_BLOCK_BYTES = 4 << 20
+# size of one assembly chunk, in bytes of complex samples
+_CHUNK_BYTES = 1 << 19
+
+
+def _discs_per_chunk(N: int, ncols: int) -> int:
+    """Discs in one assembly chunk: as many as keep its N samples of ncols
+    monomials per disc within _CHUNK_BYTES, and at least one."""
+    return max(1, _CHUNK_BYTES // (16 * N * ncols))
 
 
 def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
@@ -117,8 +123,11 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     DFT runs on the columns in |beta| order, and its coefficient -k of the
     monomials with |beta| >= k, a suffix of that order, goes straight into
     block k; where |beta| < k it holds the coefficient d + 1 - k and is
-    not read.  Discs are processed in blocks of at most _BLOCK_BYTES of
-    samples.
+    not read.  Discs are processed in chunks of _discs_per_chunk discs, at
+    most _CHUNK_BYTES (512 KiB) of samples: the DFT of one chunk keeps about
+    three arrays of that size alive (the samples, a gather from its table of
+    z1^i z2^j, and the FFT output), so the assembly's scratch stays within a
+    few chunks beyond the staircase it stores, whatever the number of discs.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -133,7 +142,7 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     # starts[k - 1]: the number of columns with |beta| < k
     starts = np.searchsorted(np.sort(_conjugate_degree(basis)), np.arange(1, d + 1))
     blocks = [np.empty((len(discs), len(basis) - s), dtype=complex) for s in starts]
-    step = max(1, _BLOCK_BYTES // (16 * N * len(basis)))
+    step = _discs_per_chunk(N, len(basis))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
         f = _boundary_dft(a[lo:hi], b[lo:hi], e, N)
@@ -233,7 +242,10 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     stacked under the rows carried from degree k - 1 and reduced by a QR.
     Its first rows, one per column with |beta| = k, go into R; the rest
     are zero in those columns and are carried to degree k + 1.  The dense
-    M_nh is never formed, and no QR runs on all of it.
+    M_nh is never formed, and no QR runs on all of it.  Each stage's stack
+    and R are Fortran-ordered, the layout LAPACK works in, so numpy's qr
+    and svd copy them straight instead of transposing them; the values are
+    those of the C-ordered arrays.
 
     Singular vectors are computed only when the rank is short, the only
     case with null vectors.  The kernel contains the holomorphic span by
@@ -242,14 +254,20 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
     starts = [ncols - block.shape[1] for block in matrix.blocks] + [ncols]
-    R = np.zeros((ncols, ncols), dtype=complex)  # rows stay zero where rows run short
+    # rows stay zero where rows run short
+    R = np.zeros((ncols, ncols), dtype=complex, order="F")
     carried = np.zeros((0, ncols), dtype=complex)
     for k in range(1, d + 1):
-        block = matrix.blocks.pop(0)  # released after its QR
+        block = matrix.blocks.pop(0)  # released once copied into the stack
         lo, width = starts[k - 1], starts[k] - starts[k - 1]
         norms = np.linalg.norm(block, axis=1)
         block /= np.where(norms > 0, norms, 1.0)[:, None]
-        r = np.linalg.qr(np.vstack([carried, block]), mode="r")
+        c = len(carried)
+        stack = np.empty((c + len(block), ncols - lo), dtype=complex, order="F")
+        stack[:c] = carried
+        stack[c:] = block
+        del block
+        r = np.linalg.qr(stack, mode="r")
         R[lo : lo + min(width, len(r)), lo:] = r[:width]
         carried = r[width:, width:]
     svals = np.linalg.svd(R, compute_uv=False)
@@ -334,7 +352,10 @@ def kernel_experiment(
         doubled = family_experiment(points, d, 2 * discs_per_point, seed)
         if doubled.kernel_dimension != report.kernel_dimension:
             raise DegenerateSample(
-                "kernel dimension not stable under doubling the disc count"
+                "kernel dimension not stable under doubling the disc count "
+                f"(discs per point: {discs_per_point} gives kernel dimension "
+                f"{report.kernel_dimension}, {2 * discs_per_point} gives "
+                f"{doubled.kernel_dimension})"
             )
     return report
 

@@ -98,6 +98,10 @@ class TestKernelCommand:
         rc = main(["kernel", "--points", *SCENE, "--degree", "4",
                    "--discs", "2", "--seed", "0"])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "verification failed: kernel dimension not stable under doubling the "
+            "disc count (discs per point: 2 gives kernel dimension 32, 4 gives 19)\n"
+        )
 
 
 class TestTestCommand:

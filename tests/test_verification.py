@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,8 +178,8 @@ class TestMomentMatrix:
 
     def test_block_boundaries_do_not_matter(self):
         d = 12
-        bytes_per_disc = 16 * (d + 1) * (len(reduced_basis(d)) - len(holomorphic_basis(d)))
-        per_block = verification._BLOCK_BYTES // bytes_per_disc
+        ncols = len(reduced_basis(d)) - len(holomorphic_basis(d))
+        per_block = verification._discs_per_chunk(d + 1, ncols)
         discs = sample_disc_family(P2, 2 * per_block + 4, seed=3)
         assert len(discs) > 2 * per_block  # three blocks: both halves straddle one
         half = len(discs) // 2
@@ -188,6 +189,26 @@ class TestMomentMatrix:
              build_moment_matrix(d, discs[half:]).matrix]
         )
         assert np.max(np.abs(whole - parts)) < 1e-14
+
+    def test_assembly_scratch_is_bounded(self):
+        # the doubled kernel-d8 scene: 180 discs, a 2.5 MB staircase.  One
+        # chunk holds at most 512 KiB of samples; the assembly keeps about
+        # three such arrays alive (samples, a gather, the FFT output) and
+        # the monomial table, so its scratch stays under six chunks
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, 60, seed=7 + j))
+        build_moment_matrix(8, discs[:1])  # warm the basis caches
+        tracemalloc.start()
+        try:
+            M = build_moment_matrix(8, discs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(block.nbytes for block in M.blocks)
+        assert stored == 180 * 870 * 16
+        chunk = 1 << 19
+        assert peak < stored + 6 * chunk
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -245,6 +266,15 @@ class TestKernelExperiment:
                 Complex2(1.5, 0), Complex2(2.0, 0), Complex2(3.0, 0),
                 d=2, discs_per_point=5,
             )
+
+    def test_unstable_doubling_names_both_runs(self):
+        # at d = 2, one disc per point leaves kernel 8 and two leave 6
+        with pytest.raises(DegenerateSample) as exc:
+            kernel_experiment(P1, P2, P3, d=2, discs_per_point=1)
+        assert str(exc.value) == (
+            "kernel dimension not stable under doubling the disc count "
+            "(discs per point: 1 gives kernel dimension 8, 2 gives 6)"
+        )
 
     def test_degree_zero(self):
         report = kernel_experiment(P1, P2, P3, d=0, discs_per_point=5)
