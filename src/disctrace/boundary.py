@@ -131,8 +131,9 @@ class HermitianPolynomial:
 
 
 def reduced_basis(d: int) -> list[MultiIndexPair]:
-    """All normal-form multi-index pairs of total degree <= d, in fixed
-    lexicographic order."""
+    """All normal-form multi-index pairs of total degree <= d, sorted by
+    |beta| and then lexicographically: the holomorphic monomials come first,
+    and those with |beta| >= k form a suffix for every k."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     out = []
@@ -142,7 +143,7 @@ def reduced_basis(d: int) -> list[MultiIndexPair]:
                 for b2 in range(d + 1 - a1 - a2 - b1):
                     if min(a1, b1) == 0:
                         out.append((a1, a2, b1, b2))
-    out.sort()
+    out.sort(key=lambda k: (k[2] + k[3], k))
     return out
 
 

@@ -61,30 +61,18 @@ def sample_disc_family(P: Complex2, n: int, seed: int) -> list[StraightDisc]:
     return discs
 
 
-def _conjugate_degree(basis) -> np.ndarray:
-    """|beta| of each basis monomial z^alpha conj(z)^beta; the monomials
-    with a conjugate factor are those with |beta| > 0."""
-    e = np.array(basis).reshape(-1, 4)
-    return e[:, 2] + e[:, 3]
-
-
-def _staircase_order(basis) -> np.ndarray:
-    """The basis positions sorted by |beta|, stably: the columns with
-    |beta| >= k are a suffix of this order for every k."""
-    return np.argsort(_conjugate_degree(basis), kind="stable")
-
-
 @dataclass(frozen=True)
 class MomentMatrix:
     """The non-holomorphic block M_nh of the moment matrix, stored as its
     |beta| staircase.  blocks[k - 1], k = 1..d, holds the Laurent
     coefficient -k of the monomials with |beta| >= k restricted to each
-    disc: one row per disc, one column per such monomial, the columns in
-    the suffix of _staircase_order(basis) of that length.  basis lists the
-    reduced monomials with a conjugate factor in reduced_basis order.  The
-    coefficient -k of a monomial with |beta| < k is zero by construction
-    and is not stored; neither are the holomorphic monomials, whose columns
-    are zero by theorem."""
+    disc: one row per disc, one column per such monomial, the last columns
+    of basis.  basis lists the reduced monomials with a conjugate factor in
+    reduced_basis order, which sorts them by |beta|, so those with
+    |beta| >= k are a suffix of it for every k.  The coefficient -k of a
+    monomial with |beta| < k is zero by construction and is not stored;
+    neither are the holomorphic monomials, whose columns are zero by
+    theorem."""
 
     blocks: list[np.ndarray]
     basis: list[tuple[int, int, int, int]]
@@ -94,10 +82,9 @@ class MomentMatrix:
         """M_nh as a dense array: rows (disc index, negative degree k in
         1..d), columns in basis order, exactly 0.0 where |beta| < k."""
         d, ncols = len(self.blocks), len(self.basis)
-        order = _staircase_order(self.basis)
         out = np.zeros((len(self.blocks[0]) * d, ncols), dtype=complex)
         for k, block in enumerate(self.blocks, 1):
-            out[k - 1 :: d, order[ncols - block.shape[1] :]] = block
+            out[k - 1 :: d, ncols - block.shape[1] :] = block
         return out
 
 
@@ -120,10 +107,10 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     at d + 1 samples per disc: the Laurent window [-|beta|, |alpha|] of one
     monomial has at most d + 1 terms, so the DFT is exact (the tests compare
     it with the scalar oracle restrict_to_disc in tests/oracles.py).  The
-    DFT runs on the columns in |beta| order, and its coefficient -k of the
-    monomials with |beta| >= k, a suffix of that order, goes straight into
-    block k; where |beta| < k it holds the coefficient d + 1 - k and is
-    not read.  Discs are processed in chunks of _discs_per_chunk discs, at
+    basis is sorted by |beta|, so the DFT's coefficient -k of the monomials
+    with |beta| >= k, a suffix of its columns, goes straight into block k;
+    where |beta| < k it holds the coefficient d + 1 - k and is not read.
+    Discs are processed in chunks of _discs_per_chunk discs, at
     most _CHUNK_BYTES (512 KiB) of samples: the DFT of one chunk keeps about
     three arrays of that size alive (the samples, a gather from its table of
     z1^i z2^j, and the FFT output), so the assembly's scratch stays within a
@@ -133,14 +120,13 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         raise ValueError("degree must be at least 1")
     if not discs:
         raise ValueError("need at least one disc")
-    full = reduced_basis(d)
-    basis = [k for k, beta in zip(full, _conjugate_degree(full)) if beta > 0]
-    e = np.array(basis)[_staircase_order(basis)]
+    basis = [k for k in reduced_basis(d) if k[2] + k[3] > 0]
+    e = np.array(basis)
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
     N = d + 1
     # starts[k - 1]: the number of columns with |beta| < k
-    starts = np.searchsorted(np.sort(_conjugate_degree(basis)), np.arange(1, d + 1))
+    starts = np.searchsorted(e[:, 2] + e[:, 3], np.arange(1, d + 1))
     blocks = [np.empty((len(discs), len(basis) - s), dtype=complex) for s in starts]
     step = _discs_per_chunk(N, len(basis))
     for lo in range(0, len(discs), step):
@@ -153,34 +139,34 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Outcome of a moment-matrix nullspace experiment.  The kernel is the
-    holomorphic coordinate span plus the null vectors of the
-    non-holomorphic block of the moment matrix.  A full-rank block has no
-    null vectors (null_vectors has zero columns); its singular values are
-    computed without vectors.  The kernel contains the holomorphic span by
-    construction, so max_principal_angle, the angle to the predicted span,
-    is 0.0 except in the one-point control (None off the origin)."""
+    """Outcome of a moment-matrix nullspace experiment.  basis is in
+    reduced_basis order, so its first expected_holomorphic_dimension entries
+    are the holomorphic monomials.  The kernel is their coordinate span plus
+    the null vectors of the non-holomorphic block of the moment matrix, over
+    the rest of basis.  A full-rank block has no null vectors (null_vectors
+    has zero columns); its singular values are computed without vectors.
+    The kernel contains the holomorphic span by construction, so
+    max_principal_angle, the angle to the predicted span, is 0.0 except in
+    the one-point control (None off the origin)."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
     max_principal_angle: float | None
     singular_values: np.ndarray
     spectral_gap: float  # the singular-value ratio the rank decision used
-    null_vectors: np.ndarray  # columns over the non-holomorphic basis monomials
+    null_vectors: np.ndarray  # columns over basis[expected_holomorphic_dimension:]
     basis: list[tuple[int, int, int, int]]
     config: dict = field(default_factory=dict)
 
     @property
     def kernel_basis(self) -> np.ndarray:
         """Columns: orthonormal coefficient vectors over the basis, the
-        holomorphic coordinate directions first."""
-        nh = _conjugate_degree(self.basis) > 0
-        holo = np.flatnonzero(~nh)
-        out = np.zeros(
-            (len(self.basis), len(holo) + self.null_vectors.shape[1]), dtype=complex
-        )
-        out[holo, np.arange(len(holo))] = 1.0
-        out[nh, len(holo) :] = self.null_vectors
+        block-diagonal [[I_h, 0], [0, null_vectors]] with h the holomorphic
+        dimension."""
+        h = self.expected_holomorphic_dimension
+        out = np.zeros((len(self.basis), h + self.null_vectors.shape[1]), dtype=complex)
+        out[:h, :h] = np.eye(h)
+        out[h:, h:] = self.null_vectors
         return out
 
     def to_json_dict(self) -> dict:
@@ -234,7 +220,7 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     no cutoff is set by the user.
 
     The singular values come from a square R with R^H R = A^H A, A the
-    row-normalized M_nh with its columns sorted by |beta|.  A degree-k row
+    row-normalized M_nh, whose columns are sorted by |beta|.  A degree-k row
     of M_nh is zero in the columns with |beta| < k, so R is built one
     degree at a time from the staircase blocks of matrix, which this
     consumes: block k, the degree-k rows restricted to the columns with
@@ -248,8 +234,9 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     those of the C-ordered arrays.
 
     Singular vectors are computed only when the rank is short, the only
-    case with null vectors.  The kernel contains the holomorphic span by
-    construction, so its angle to that span is reported as 0.0."""
+    case with null vectors; those of R are those of A, over matrix.basis.
+    The kernel contains the holomorphic span by construction, so its angle
+    to that span is reported as 0.0."""
     ncols = len(matrix.basis)
     nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
@@ -285,9 +272,11 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
             "and 2.2 or more at degree 12"
         )
 
-    null = np.zeros((ncols, ncols - rank), dtype=complex)
     if rank < ncols:
-        null[_staircase_order(matrix.basis)] = np.linalg.svd(R)[2][rank:].conj().T
+        null = np.linalg.svd(R)[2][rank:].conj().T
+    else:
+        # fresh, not a view of R: a report must not keep R alive
+        null = np.zeros((ncols, 0), dtype=complex)
     basis = reduced_basis(d)
     hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
@@ -296,9 +285,9 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
 
 def _assert_general_position(points) -> None:
     """Pairwise distinct points, three of them not on one complex line."""
-    d = [p - points[0] for p in points[1:]]
-    if d and d[0].norm() == 0:
+    if any((p - q).norm() == 0 for i, p in enumerate(points) for q in points[:i]):
         raise CollinearPoints("points must be pairwise distinct")
+    d = [p - points[0] for p in points[1:]]
     if len(d) == 2:
         u, v = d
         t = hermitian_inner(v, u) / u.norm() ** 2

@@ -153,6 +153,14 @@ class TestReducedBasis:
         assert len(holomorphic_basis(4)) == 15
         assert set(holomorphic_basis(4)) <= basis
 
+    @pytest.mark.parametrize("d", range(13))
+    def test_graded_order(self, d):
+        # sorted by |beta| and then lexicographically: the holomorphic
+        # monomials are a prefix, and those with |beta| >= k a suffix
+        basis = reduced_basis(d)
+        assert basis == sorted(basis, key=lambda k: (k[2] + k[3], k))
+        assert basis[: (d + 1) * (d + 2) // 2] == holomorphic_basis(d)
+
 
 class TestInnerProduct:
     def test_instances(self):

@@ -274,6 +274,20 @@ class TestUsageErrors:
         }[command]
         self.assert_usage_error([*argv, "--seed", "-1"], capsys)
 
+    @pytest.mark.parametrize("command", ["kernel", "extend"])
+    @pytest.mark.parametrize("third", ["0,0", "0.5,0"])
+    def test_coincident_points(self, command, third, holomorphic_file, capsys):
+        # a third point equal to the first or the second is named as such,
+        # not as three points on one complex line
+        points = ["--points", "0,0", "0.5,0", third]
+        argv = {
+            "kernel": ["kernel", *points, "--degree", "2", "--discs", "5"],
+            "extend": ["extend", "--function", holomorphic_file, *points,
+                       "--at", "0.2,0.1", "--discs", "4"],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: points must be pairwise distinct\n"
+
     @pytest.mark.parametrize("bad", ["1,0", "0.8,0.6", "2,0"])
     def test_kernel_exterior_point(self, bad, capsys):
         self.assert_usage_error(

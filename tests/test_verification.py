@@ -166,8 +166,9 @@ class TestMomentMatrix:
         assert control.kernel_dimension == 32
 
     def test_holomorphic_columns_vanish(self):
-        # M holds only the non-holomorphic columns, in reduced_basis order;
-        # the holomorphic ones it leaves out have no negative coefficient
+        # M holds only the non-holomorphic columns, in reduced_basis order
+        # (sorted by |beta|); the holomorphic ones it leaves out, a prefix
+        # of that order, have no negative coefficient
         discs = sample_disc_family(P3, 8, seed=2)
         M = build_moment_matrix(4, discs)
         assert M.basis == [k for k in reduced_basis(4) if k[2] + k[3] > 0]
@@ -323,6 +324,17 @@ class TestKernelExperiment:
         assert report.max_principal_angle == 0.0
         assert gram_calls == []
 
+    def test_report_arrays_own_their_entries(self):
+        # callers keep reports, so no array a report holds may be a view
+        # into a larger one, such as R or the SVD's factors
+        full = family_experiment((P1, P2, P3), 4, 60, seed=7)
+        short = one_point_control(P1, d=4, n=60, seed=7)
+        assert full.null_vectors.shape[1] == 0 < short.null_vectors.shape[1]
+        for report in (full, short):
+            for value in vars(report).values():
+                if isinstance(value, np.ndarray):
+                    assert value.base is None or value.base.size == value.size
+
     @pytest.mark.parametrize("d, n", [(4, 60), (8, 30), (12, 50)])
     def test_skipped_angle_and_values_match_the_full_computation(self, d, n):
         report = kernel_experiment(P1, P2, P3, d=d, discs_per_point=n, seed=7,
@@ -345,6 +357,11 @@ class TestKernelExperiment:
         K = report.kernel_basis
         assert K.shape == (len(report.basis), report.kernel_dimension)
         assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+        # block-diagonal: the holomorphic coordinates, then the null vectors
+        h = report.expected_holomorphic_dimension
+        assert np.array_equal(K[:h, :h], np.eye(h))
+        assert np.array_equal(K[h:, h:], report.null_vectors)
+        assert not K[:h, h:].any() and not K[h:, :h].any()
         nh = [k[2] + k[3] > 0 for k in report.basis]
         M = build_moment_matrix(3, sample_disc_family(P, n, seed=7)).matrix
         assert np.max(np.abs(M @ K[nh])) < 1e-12
@@ -440,8 +457,11 @@ class TestTwoPointProbe:
         assert _angle_to_holomorphic_span(report) < 1e-14
 
     def test_distinct_points_required(self):
-        with pytest.raises(CollinearPoints):
-            family_experiment((P2, P2), d=2, n=5)
+        # a third point equal to the first or the second also puts the three
+        # on one complex line: the error names the coincidence
+        for points in [(P2, P2), (P1, P2, P1), (P1, P2, P2)]:
+            with pytest.raises(CollinearPoints, match="^points must be pairwise distinct$"):
+                family_experiment(points, d=2, n=5)
 
     def test_degree_zero(self):
         report = family_experiment((P1, P2), d=0, n=5)
