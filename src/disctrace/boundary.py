@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -133,7 +133,15 @@ class HermitianPolynomial:
 def reduced_basis(d: int) -> list[MultiIndexPair]:
     """All normal-form multi-index pairs of total degree <= d, sorted by
     |beta| and then lexicographically: the holomorphic monomials come first,
-    and those with |beta| >= k form a suffix for every k."""
+    and those with |beta| >= k form a suffix for every k.  A fresh list,
+    which the caller may change; _reduced_basis(d) is the one shared tuple
+    that kernel reports hold."""
+    return list(_reduced_basis(d))
+
+
+@lru_cache(maxsize=MAX_DEGREE + 1)
+def _reduced_basis(d: int) -> tuple[MultiIndexPair, ...]:
+    """reduced_basis(d) as one immutable tuple per degree, built once."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     out = []
@@ -144,7 +152,7 @@ def reduced_basis(d: int) -> list[MultiIndexPair]:
                     if min(a1, b1) == 0:
                         out.append((a1, a2, b1, b2))
     out.sort(key=lambda k: (k[2] + k[3], k))
-    return out
+    return tuple(out)
 
 
 def _monomial_integral(a1: int, a2: int, b1: int, b2: int) -> float:

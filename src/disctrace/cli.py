@@ -28,7 +28,11 @@ from .verification import (
 
 # a disc family holds one Python object per disc; the kernel command's
 # stability run also stores the |beta| staircase of M_nh: for 3 * 2n discs,
-# one complex entry per monomial z^alpha conj(z)^beta and k = 1..|beta|
+# one complex entry per monomial z^alpha conj(z)^beta and k = 1..|beta|.
+# _MAX_MATRIX_BYTES bounds that staircase only.  The rank step's scratch
+# comes on top: about two copies of its stage-1 stack, 3 * 2n rows of the
+# non-holomorphic columns in complex entries (3 * 2n * 728 * 16 B at
+# d = 12), which is about 0.4 GB at the degree-12 cap of n = 2997
 _MAX_DISCS = 100_000
 _MAX_MATRIX_BYTES = 2**30
 
@@ -135,7 +139,9 @@ def _check_discs(n: int, limit: int = _MAX_DISCS) -> None:
 
 
 def _kernel_disc_limit(d: int) -> int:
-    """The largest --discs whose doubled moment matrix fits in 1 GiB."""
+    """The largest --discs whose doubled run's |beta| staircase fits in
+    1 GiB; the rank step's scratch, about 0.4 GB more at degree 12, is not
+    counted (see _MAX_MATRIX_BYTES)."""
     per_disc = 16 * 3 * 2 * sum(k[2] + k[3] for k in reduced_basis(d))
     return min(_MAX_DISCS, _MAX_MATRIX_BYTES // per_disc) if d else _MAX_DISCS
 

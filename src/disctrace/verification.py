@@ -17,6 +17,7 @@ import numpy as np
 from . import crlifts
 from .boundary import (
     HermitianPolynomial,
+    _reduced_basis,
     gram_matrix,
     reduced_basis,
 )
@@ -120,7 +121,7 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         raise ValueError("degree must be at least 1")
     if not discs:
         raise ValueError("need at least one disc")
-    basis = [k for k in reduced_basis(d) if k[2] + k[3] > 0]
+    basis = [k for k in _reduced_basis(d) if k[2] + k[3] > 0]
     e = np.array(basis)
     a = np.array([disc.a.as_array() for disc in discs])
     b = np.array([disc.b.as_array() for disc in discs])
@@ -139,8 +140,9 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Outcome of a moment-matrix nullspace experiment.  basis is in
-    reduced_basis order, so its first expected_holomorphic_dimension entries
+    """Outcome of a moment-matrix nullspace experiment.  basis is the
+    tuple of the reduced monomials in reduced_basis order that every report
+    of its degree shares, so its first expected_holomorphic_dimension entries
     are the holomorphic monomials.  The kernel is their coordinate span plus
     the null vectors of the non-holomorphic block of the moment matrix, over
     the rest of basis.  A full-rank block has no null vectors (null_vectors
@@ -155,7 +157,7 @@ class KernelReport:
     singular_values: np.ndarray
     spectral_gap: float  # the singular-value ratio the rank decision used
     null_vectors: np.ndarray  # columns over basis[expected_holomorphic_dimension:]
-    basis: list[tuple[int, int, int, int]]
+    basis: tuple[tuple[int, int, int, int], ...]
     config: dict = field(default_factory=dict)
 
     @property
@@ -226,23 +228,31 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     consumes: block k, the degree-k rows restricted to the columns with
     |beta| >= k, is taken out of matrix.blocks, row-normalized in place,
     stacked under the rows carried from degree k - 1 and reduced by a QR.
-    Its first rows, one per column with |beta| = k, go into R; the rest
-    are zero in those columns and are carried to degree k + 1.  The dense
-    M_nh is never formed, and no QR runs on all of it.  Each stage's stack
-    and R are Fortran-ordered, the layout LAPACK works in, so numpy's qr
-    and svd copy them straight instead of transposing them; the values are
-    those of the C-ordered arrays.
+    Its first rows, one per column with |beta| = k, are the rows of R that
+    stage k fixes; the rest are zero in those columns and are carried to
+    degree k + 1.  The dense M_nh is never formed, and no QR runs on all of
+    it.
+
+    The working set stays bounded: each stage keeps compact copies of its
+    R rows and of its carried rows, and drops its block, its stack and the
+    QR output as soon as they are read.  R is allocated only after stage d,
+    when the staircase is used up, and each stage's rows are freed once
+    they are copied into it; they stay zero where a stage had fewer rows
+    than its width.  Each stage's stack and R are Fortran-ordered, the
+    layout LAPACK works in, so numpy's qr and svd copy them straight
+    instead of transposing them; the values are those of the C-ordered
+    arrays.
 
     Singular vectors are computed only when the rank is short, the only
     case with null vectors; those of R are those of A, over matrix.basis.
     The kernel contains the holomorphic span by construction, so its angle
-    to that span is reported as 0.0."""
+    to that span is reported as 0.0.  The report holds the shared basis
+    tuple _reduced_basis(d) and no view of R."""
     ncols = len(matrix.basis)
     nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
     starts = [ncols - block.shape[1] for block in matrix.blocks] + [ncols]
-    # rows stay zero where rows run short
-    R = np.zeros((ncols, ncols), dtype=complex, order="F")
+    rows = []  # rows[k - 1]: the rows of R that stage k fixes
     carried = np.zeros((0, ncols), dtype=complex)
     for k in range(1, d + 1):
         block = matrix.blocks.pop(0)  # released once copied into the stack
@@ -253,10 +263,19 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
         stack = np.empty((c + len(block), ncols - lo), dtype=complex, order="F")
         stack[:c] = carried
         stack[c:] = block
-        del block
+        del block, carried
         r = np.linalg.qr(stack, mode="r")
-        R[lo : lo + min(width, len(r)), lo:] = r[:width]
-        carried = r[width:, width:]
+        del stack
+        # copies, so that neither keeps all of r alive
+        rows.append(r[:width].copy())
+        carried = r[width:, width:].copy()
+        del r
+    # rows stay zero where a stage has fewer rows than its width
+    R = np.zeros((ncols, ncols), dtype=complex, order="F")
+    for lo in starts[:-1]:
+        top = rows.pop(0)  # released once copied into R
+        R[lo : lo + len(top), lo:] = top
+        del top
     svals = np.linalg.svd(R, compute_uv=False)
     floor = np.finfo(float).eps * svals[0]
     steps = np.append(np.maximum(svals, floor), floor)
@@ -277,7 +296,7 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     else:
         # fresh, not a view of R: a report must not keep R alive
         null = np.zeros((ncols, 0), dtype=complex)
-    basis = reduced_basis(d)
+    basis = _reduced_basis(d)
     hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
     return KernelReport(hdim + ncols - rank, hdim, 0.0, svals, gap, null, basis, config)
@@ -315,7 +334,7 @@ def family_experiment(points, d: int, n: int, seed: int = 0) -> KernelReport:
         # no negative-degree rows exist at degree 0: constants are holomorphic
         null = np.zeros((0, 0))
         return KernelReport(
-            1, 1, 0.0, np.array([]), float("inf"), null, reduced_basis(0), config
+            1, 1, 0.0, np.array([]), float("inf"), null, _reduced_basis(0), config
         )
     discs = []
     for j, P in enumerate(points):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from disctrace.boundary import (
     MAX_DEGREE,
     HermitianPolynomial,
+    _reduced_basis,
     gram_matrix,
     reduced_basis,
 )
@@ -160,6 +161,21 @@ class TestReducedBasis:
         basis = reduced_basis(d)
         assert basis == sorted(basis, key=lambda k: (k[2] + k[3], k))
         assert basis[: (d + 1) * (d + 2) // 2] == holomorphic_basis(d)
+
+    def test_fresh_list_per_call(self):
+        # the basis is built once per degree, but each caller gets its own list
+        assert _reduced_basis(4) is _reduced_basis(4)
+        first = reduced_basis(4)
+        assert isinstance(first, list) and first == list(_reduced_basis(4))
+        first[0] = (7, 7, 7, 7)
+        first.append((9, 9, 9, 9))
+        again = reduced_basis(4)
+        assert len(again) == 55 and again[0] == (0, 0, 0, 0)
+        assert again == list(_reduced_basis(4))
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            reduced_basis(-1)
 
 
 class TestInnerProduct:

@@ -211,6 +211,23 @@ class TestMomentMatrix:
         chunk = 1 << 19
         assert peak < stored + 6 * chunk
 
+    def test_rank_step_scratch_is_bounded(self):
+        # d = 12 with 150 discs: an 8.95 MB staircase and an 8.48 MB R.  The
+        # rank step keeps only compact copies of each stage's R rows and
+        # carried rows, and allocates R once the staircase is used up, so
+        # the whole experiment peaks below the two together (it read 22.7 MB
+        # when R was allocated first and each stage kept its QR output)
+        family_experiment((P1, P2, P3), 12, 50, seed=7)  # warm the caches
+        tracemalloc.start()
+        try:
+            family_experiment((P1, P2, P3), 12, 50, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        staircase = 150 * 3731 * 16
+        R = 728 * 728 * 16
+        assert peak < staircase + R
+
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             build_moment_matrix(0, sample_disc_family(P2, 2, seed=0))
@@ -334,6 +351,43 @@ class TestKernelExperiment:
             for value in vars(report).values():
                 if isinstance(value, np.ndarray):
                     assert value.base is None or value.base.size == value.size
+
+    def test_reports_share_one_basis(self):
+        r1 = family_experiment((P1, P2, P3), 4, 30, seed=7)
+        r2 = one_point_control(P2, d=4, n=30, seed=3)
+        assert r1.basis is r2.basis
+        assert isinstance(r1.basis, tuple) and r1.basis == tuple(reduced_basis(4))
+        zero = (family_experiment((P1, P2, P3), 0, 5), kernel_experiment(P1, P2, P3, 0, 5))
+        assert zero[0].basis is zero[1].basis == ((0, 0, 0, 0),)
+
+    def test_kept_reports_retain_no_basis(self):
+        # each report used to hold its own list of 285 tuples at d = 8,
+        # 26 KB; now it holds the shared tuple, so what it retains is its
+        # 285 singular values plus under 2 KB
+        scene = (P1, P2, P3)
+        family_experiment(scene, 8, 30, seed=7)  # warm the caches
+        tracemalloc.start()
+        try:
+            kept = [family_experiment(scene, 8, 30, seed=7 + i) for i in range(20)]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(kept) < kept[0].singular_values.nbytes + 2048
+
+    def test_short_stages_match_the_dense_values(self):
+        # one disc per point at d = 4: 3 rows at every stage, fewer than its
+        # width (14, 12, 9 and 5 columns), so R keeps zero rows there
+        discs = []
+        for j, P in enumerate((P1, P2, P3)):
+            discs.extend(sample_disc_family(P, 1, seed=7 + j))
+        M = build_moment_matrix(4, discs)
+        widths = np.diff([40 - b.shape[1] for b in M.blocks] + [40])
+        assert list(widths) == [14, 12, 9, 5]
+        s = dense_singular_values(M.matrix)
+        report = family_experiment((P1, P2, P3), 4, 1, seed=7)
+        assert report.kernel_dimension == 55 - 12
+        values = report.singular_values[: len(s)]
+        assert np.max(np.abs(values - s)) <= 1e-13 * s[0]
 
     @pytest.mark.parametrize("d, n", [(4, 60), (8, 30), (12, 50)])
     def test_skipped_angle_and_values_match_the_full_computation(self, d, n):
