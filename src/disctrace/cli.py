@@ -15,9 +15,10 @@ import re
 import sys
 
 from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
+from .discs import LINE_MARGIN
 from .errors import CollinearPoints, DiscTraceError, NotExtendible
 from .geometry import Complex2
-from .moments import MOMENT_RTOL, extendibility_test
+from .moments import extendibility_test, within_moment_bound
 from .verification import (
     _assert_general_position,
     extension_consistency,
@@ -188,9 +189,8 @@ def cmd_extend(args) -> int:
     f = _load_function(args.function)
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)
-    # disc_from_line's margin: nearer the sphere, tau of z rounds to |tau| >= 1
-    if z.norm() ** 2 >= 1.0 - 1e-12:
-        raise UsageError(f"--at {args.at!r} must satisfy |z|^2 < 1 - 1e-12")
+    if z.norm() ** 2 >= 1.0 - LINE_MARGIN:
+        raise UsageError(f"--at {args.at!r} must satisfy |z|^2 < 1 - {LINE_MARGIN:g}")
     _assert_general_position(points)
     if z in points:
         raise UsageError("--at must differ from each of --points")
@@ -215,8 +215,7 @@ def cmd_extend(args) -> int:
     print(f"value,{value.real!r},{value.imag!r}")
     print(f"discrepancy,{discrepancy!r}")
     # the moment test's relative bound, over every term of f
-    bound = MOMENT_RTOL * sum(abs(c) for c in f.terms.values())
-    return 0 if discrepancy <= bound else 1
+    return 0 if within_moment_bound(discrepancy, list(f.terms.values())) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

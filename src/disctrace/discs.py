@@ -22,6 +22,8 @@ from .geometry import CP1Point, Complex2, _canonical_phase, hermitian_inner
 
 _ORTHO_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
+# nearer the sphere than |z|^2 = 1 - LINE_MARGIN, a disc parameter rounds to |tau| >= 1
+LINE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +85,7 @@ def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:
     t = hermitian_inner(p, v) / nv**2
     a1, a2 = p.z1 - t * v.z1, p.z2 - t * v.z2
     na2 = abs(a1) ** 2 + abs(a2) ** 2
-    if na2 >= (1.0 - 1e-12):
+    if na2 >= 1.0 - LINE_MARGIN:
         raise LineMissesBall(f"line distance to origin {math.sqrt(na2):.6f}")
     u1, u2 = v.z1 / nv, v.z2 / nv
     phase, nb = _canonical_phase(u1, u2), math.sqrt(1.0 - na2)
@@ -133,7 +135,7 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point):
     the disc through z.  It is nonzero for every interior z, so every
     (z, [zeta]) with |z| < 1 is a lift point.  Raises NoSolution when the
     lift of the recovered disc misses [zeta] by 1e-10 or more, and
-    LineMissesBall from disc_from_line when |z|^2 is within 1e-12 of 1.
+    LineMissesBall from disc_from_line when |z|^2 is within LINE_MARGIN of 1.
     """
     if z.norm() >= 1.0:
         raise ValueError("base point must be interior")

@@ -6,7 +6,9 @@ Conventions used throughout the package:
   ``<u, v> = u1*conj(v1) + u2*conj(v2)``;
 * a CP^1 point is stored as a unit vector whose first component of modulus
   above ``PHASE_EPS`` is real positive, so projective equality is plain
-  componentwise comparison;
+  componentwise comparison: exact when one representative is an exact real
+  multiple of the other (each t*zeta_i representable, as for (1, 1j) and
+  (3, 3j)), and to roundoff otherwise;
 * a ball automorphism is stored as (involution at a) composed with a
   unitary.
 """
@@ -20,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PHASE_EPS = 1e-14
-# np.linalg.norm squares without scaling; outside this range |v|^2 leaves
-# the normal floating-point range and the norm loses accuracy or vanishes
-_NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny))
-_NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,22 +71,19 @@ class CP1Point:
     zeta2: complex
 
     def __post_init__(self):
-        v = np.array([self.zeta1, self.zeta2], dtype=complex)
-        if not np.all(np.isfinite(v)) or not np.any(v):
+        z1, z2 = self.zeta1, self.zeta2
+        # cmath.isfinite raises TypeError for a str, which complex() would parse
+        if not (cmath.isfinite(z1) and cmath.isfinite(z2) and (z1 or z2)):
             raise ValueError("CP1Point needs a nonzero finite representative")
-        with np.errstate(over="ignore", under="ignore"):
-            n = np.linalg.norm(v)
-        if not _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX:
-            # |v|^2 under- or overflows: rescale by the largest real or
-            # imaginary part first, dividing in the reals (complex division
-            # by a subnormal overflows through its reciprocal)
-            parts = v.view(float)
-            v = (parts / np.max(np.abs(parts))).view(complex)
-            n = np.linalg.norm(v)
-        v = v / n
-        v = v * _canonical_phase(v[0], v[1])
-        object.__setattr__(self, "zeta1", complex(v[0]))
-        object.__setattr__(self, "zeta2", complex(v[1]))
+        # divided by its largest real or imaginary part, the representative
+        # has moduli in [1, 2]: hypot neither under- nor overflows
+        s = max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag))
+        z1, z2 = complex(z1) / s, complex(z2) / s
+        n = math.hypot(abs(z1), abs(z2))
+        z1, z2 = z1 / n, z2 / n
+        phase = _canonical_phase(z1, z2)
+        object.__setattr__(self, "zeta1", z1 * phase)
+        object.__setattr__(self, "zeta2", z2 * phase)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.zeta1, self.zeta2], dtype=complex)

@@ -29,7 +29,7 @@ from .discs import StraightDisc, disc_from_lift_point, LiftPoint
 from .errors import NotExtendible
 from .geometry import Complex2
 
-# relative bound of the moment test; see _moment_bound
+# relative bound of the moment test; see within_moment_bound
 MOMENT_RTOL = 1e-10
 
 
@@ -72,38 +72,40 @@ def _nonholomorphic_coefficients(
     """Laurent coefficients on the boundary of A of the non-holomorphic
     terms of f, as (c_0..c_D, c_-1..c_-D), D their top degree; both empty
     when f is holomorphic.  The boundary DFT of those monomials, contracted
-    with their coefficients in f.
-    """
+    with their coefficients over the largest modulus, which cannot overflow;
+    only the results are scaled back."""
     e, coeffs, D = f.nonholomorphic_terms
     if not coeffs.size:
         return coeffs, coeffs
     N = 2 * D + 2  # the window [-D, D] of a sum of monomials has 2D + 1 terms
     dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, N)[0]
-    c = dft @ coeffs / N
+    top = np.abs(coeffs).max()
+    c = dft @ (coeffs / top) / N * top
     return c[: D + 1], c[-1 : -D - 1 : -1]
 
 
 def _max_modulus(coeffs: np.ndarray) -> float:
-    return float(np.max(np.abs(coeffs), initial=0.0))
+    return float(np.abs(coeffs).max(initial=0.0))
 
 
-def _moment_bound(f: HermitianPolynomial) -> float:
-    """The largest negative-coefficient modulus the moment test takes for
-    roundoff: MOMENT_RTOL * sum |c| over the non-holomorphic terms of f,
-    0.0 when f is holomorphic.  On a disc boundary each such monomial has
-    modulus at most 1, and so has each of its Laurent coefficients; the sum
-    therefore bounds every coefficient of f, and the bound scales with f,
-    so s*f gets the verdict of f for every s != 0."""
-    return MOMENT_RTOL * float(np.sum(np.abs(f.nonholomorphic_terms[1])))
+def within_moment_bound(x: float, coeffs) -> bool:
+    """Whether x <= MOMENT_RTOL * sum |c| over coeffs, the roundoff the
+    moment test allows: over the non-holomorphic terms of f, whose monomials
+    have modulus <= 1 on a disc boundary, the sum bounds every Laurent
+    coefficient.  Both sides are divided by max |c|, so neither overflows
+    and s*f gets the verdict of f for every s != 0 that leaves f finite."""
+    r = np.abs(coeffs).tolist()
+    top = max(r, default=0.0)
+    return x / top <= MOMENT_RTOL * sum([t / top for t in r]) if top else x == 0.0
 
 
 def extendibility_test(f: HermitianPolynomial, A: StraightDisc) -> ExtendibilityReport:
     """Moment test: f extends holomorphically into the disc iff all
     negative Fourier coefficients of its boundary restriction vanish, up to
-    the scale-relative bound of MOMENT_RTOL.  Only the non-holomorphic terms
-    of f can contribute, so a holomorphic f gives exactly 0.0 and passes."""
+    within_moment_bound over the non-holomorphic terms of f.  Only those
+    terms can contribute, so a holomorphic f gives exactly 0.0 and passes."""
     m = _max_modulus(_nonholomorphic_coefficients(f, A)[1])
-    return ExtendibilityReport(m, m <= _moment_bound(f))
+    return ExtendibilityReport(m, within_moment_bound(m, f.nonholomorphic_terms[1]))
 
 
 def extension_value(f: HermitianPolynomial, A: StraightDisc, tau0: complex) -> complex:
@@ -119,9 +121,9 @@ def extension_value(f: HermitianPolynomial, A: StraightDisc, tau0: complex) -> c
     )
     if not neg.size:  # holomorphic f: no moment to test, nothing to add
         return complex(value)
-    m, bound = _max_modulus(neg), _moment_bound(f)
-    if m > bound:
-        raise NotExtendible(f"max negative coefficient modulus {m:.3e} > {bound:.3e}")
+    m = _max_modulus(neg)
+    if not within_moment_bound(m, f.nonholomorphic_terms[1]):
+        raise NotExtendible(f"max negative modulus {m:.3e} > {MOMENT_RTOL} * sum |c|")
     return complex(value + np.polyval(pos[::-1], tau0))
 
 

@@ -180,7 +180,9 @@ class TestScaleInvariance:
         ({(2, 1, 0, 0): 1.0, (0, 0, 0, 0): 0.5, (2, 0, 1, 1): 1.0,
           (1, 1, 0, 2): 1.0, (1, 0, 0, 1): -1.0}, 1e8, 0),
         ({(0, 1, 0, 1): 1.0}, 1e-12, 1),  # |z2|^2
-    ], ids=["extendible-1e8", "z2sq-1e-12"])
+        # (1 + i) (|z1|^2 + |z2|^2 - 1) vanishes on the sphere; sum |c| overflows
+        ({(1, 0, 1, 0): 1 + 1j, (0, 1, 0, 1): 1 + 1j, (0, 0, 0, 0): -1 - 1j}, 5e307, 0),
+    ], ids=["extendible-1e8", "z2sq-1e-12", "sphere-5e307"])
     def test_scaled_function(self, command, terms, scale, code, tmp_path):
         path = tmp_path / "f.json"
         (scale * HermitianPolynomial(terms)).save(path)
@@ -190,6 +192,18 @@ class TestScaleInvariance:
                        "--at", "0.2,0.1"],
         }[command]
         assert main(argv) == code
+
+    def test_largest_scale_fails_every_disc(self, tmp_path, capsys):
+        # z1 conj(z2) + z2 conj(z1) + z2^2 conj(z2) near the largest float:
+        # sum |c| overflows, and every disc still fails as at scale 1
+        path = tmp_path / "f.json"
+        HermitianPolynomial(
+            {(1, 0, 0, 1): 1e308, (0, 1, 1, 0): 1e308, (0, 2, 0, 1): 1e308}
+        ).save(path)
+        argv = ["test", "--function", str(path), "--point", "0.3,0.1", "--discs", "3"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:4]] == ["false"] * 3
 
 
 class TestNegativeCoordinates:

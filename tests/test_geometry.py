@@ -81,6 +81,11 @@ class TestCP1Point:
         q = CP1Point(-3j, 3.0)  # same class, different representative
         assert np.allclose(p.as_array(), q.as_array())
 
+    def test_exact_real_multiples_are_equal(self):
+        # each part is divided by the largest one, so an exact real factor
+        # leaves the same quotients, bit for bit
+        assert CP1Point(1, 1j) == CP1Point(3, 3j) == CP1Point(0.25, 0.25j)
+
     def test_affine_chart(self):
         assert CP1Point(2.0, 1j).affine == pytest.approx(0.5j)
         assert CP1Point(0.0, 1.0).affine == complex(np.inf)

@@ -122,7 +122,7 @@ class TestExtendibility:
         assert not rep.verdict
         assert rep.max_negative_modulus == pytest.approx(0.16, abs=1e-14)
 
-    @pytest.mark.parametrize("s", [1e-12, 1e8])
+    @pytest.mark.parametrize("s", [1e-300, 1e-12, 1e8, 1e300, 1e308])
     @pytest.mark.parametrize("extendible", [True, False])
     def test_verdict_is_scale_invariant(self, s, extendible):
         # extending along a disc is linear in f, so s*f has the verdicts of f
