@@ -10,6 +10,10 @@ coincide with the holomorphic trace span.
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
+import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,24 +44,31 @@ from .geometry import (
 )
 from .moments import _boundary_dft, extension_value
 
-GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 SPECTRAL_GAP_MIN = 1e3
 
 
 def sample_disc_family(P: Complex2, n: int, seed: int) -> list[StraightDisc]:
     """n distinct discs through P with directions from a jittered Fibonacci
-    lattice on the direction sphere; deterministic in (P, n, seed)."""
+    lattice on the direction sphere.
+
+    Disc i takes the lattice point's height c and azimuth phi, each moved by
+    one N(0, 0.01^2) draw, c's first, from the standard library's
+    random.Random(seed) (Mersenne Twister, gauss), so the family is
+    deterministic in (P, n, seed).  seed must be a non-negative integer.
+    """
     if n < 1:
         raise ValueError("need at least one disc")
-    rng = np.random.default_rng(seed)
-    jitter = rng.normal(scale=0.01, size=(n, 2))
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    rng = random.Random(seed)
     discs = []
     for i in range(n):
-        c = 1.0 - 2.0 * (i + 0.5) / n + jitter[i, 0] / max(n, 8)
-        c = float(np.clip(c, -1.0, 1.0))
-        half = np.arccos(c) / 2.0
-        phi = GOLDEN_ANGLE * i + jitter[i, 1]
-        v = Complex2(np.cos(half), np.sin(half) * np.exp(1j * phi))
+        c = 1.0 - 2.0 * (i + 0.5) / n + rng.gauss(0.0, 0.01) / max(n, 8)
+        half = math.acos(min(1.0, max(-1.0, c))) / 2.0
+        phi = GOLDEN_ANGLE * i + rng.gauss(0.0, 0.01)
+        v = Complex2(math.cos(half), math.sin(half) * cmath.exp(1j * phi))
         discs.append(disc_from_line(P, v))
     return discs
 

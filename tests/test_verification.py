@@ -89,6 +89,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_disc_family(P2, 0, seed=0)
 
+    def test_needs_nonnegative_integer_seed(self):
+        with pytest.raises(ValueError):
+            sample_disc_family(P2, 5, seed=-1)
+        with pytest.raises(TypeError):
+            sample_disc_family(P2, 5, seed=1.5)
+
 
 class TestMomentMatrix:
     def test_shape_and_entries(self):
