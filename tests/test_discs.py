@@ -335,19 +335,24 @@ def test_cold_commands_leave_scipy_and_numpy_random_out(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     f = tmp_path / "holomorphic.json"
     f.write_text('{"terms": [{"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": 0.0}]}')
+    # numpy < 2 loads numpy.random in `import numpy` itself, so only the
+    # numpy.random modules the commands add are counted.
     code = (
-        "import contextlib, io, sys, disctrace, disctrace.cli\n"
+        "import contextlib, io, sys, numpy\n"
+        "def loaded(prefix):\n"
+        "    return {m for m in sys.modules if m == prefix or m.startswith(prefix + '.')}\n"
+        "before = loaded('numpy.random')\n"
+        "import disctrace, disctrace.cli\n"
         "f, pts = sys.argv[1], ['0,0', '0.5,0', '0,0.5']\n"
         "runs = [['kernel', '--points', *pts, '--degree', '2', '--discs', '6'],\n"
         "        ['test', '--function', f, '--point', '0.3,0.2'],\n"
         "        ['extend', '--function', f, '--points', *pts, '--at', '0.2,0.1']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [disctrace.cli.main(argv) for argv in runs]\n"
-        "print(codes, sorted(m for m in sys.modules\n"
-        "                    if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))"
+        "print(codes, sorted(loaded('scipy')), sorted(loaded('numpy.random') - before))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(f)], env=env, capture_output=True,
         text=True, check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0] [] []"
