@@ -193,34 +193,24 @@ class KernelReport:
         }
 
 
-def _principal_angles_metric(A: np.ndarray, B: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of A and B in the inner
-    product with Cholesky factor L (G = L L^H), ascending.
+def _max_angle_to_coordinate_span(report: KernelReport, members) -> float:
+    """Largest L2 principal angle between the kernel of report and the
+    coordinate span of the multi-indices members, over report.basis.
 
-    Small angles are taken from the sine-based residual SVD, which stays
-    accurate where arccos of a cosine near 1 loses half the digits.
+    With G = L L^H the Gram matrix of the basis, L^H maps coefficient
+    vectors isometrically into C^N, and the coordinate span maps to a
+    column selection of L^H.  Let Q_s and Q_l be orthonormal bases of the
+    smaller and the larger image: the 2-norm of the residual
+    Q_s - Q_l Q_l^H Q_s is the sine of the largest of the min(dim)
+    principal angles.  The sine stays accurate for small angles, where
+    arccos of a cosine near 1 loses half the digits.
     """
-    Qa = np.linalg.qr(L.conj().T @ A)[0]
-    Qb = np.linalg.qr(L.conj().T @ B)[0]
-    C = Qa.conj().T @ Qb
-    cosines = np.sort(np.linalg.svd(C, compute_uv=False))[::-1]
-    sines = np.sort(np.linalg.svd(Qb - Qa @ C, compute_uv=False))[: len(cosines)]
-    angles = np.where(
-        cosines > 0.99,
-        np.arcsin(np.clip(sines, 0.0, 1.0)),
-        np.arccos(np.clip(cosines, -1.0, 1.0)),
-    )
-    return np.sort(angles)
-
-
-def _coordinate_span(basis, members) -> np.ndarray:
-    """Column matrix selecting the given multi-indices as coordinate
-    directions in the basis."""
-    pos = {k: i for i, k in enumerate(basis)}
-    M = np.zeros((len(basis), len(members)))
-    for j, k in enumerate(members):
-        M[pos[k], j] = 1.0
-    return M
+    Lh = np.linalg.cholesky(gram_matrix(report.basis)).conj().T
+    pos = {k: i for i, k in enumerate(report.basis)}
+    images = (Lh @ report.kernel_basis, Lh[:, [pos[k] for k in members]])
+    Qs, Ql = (np.linalg.qr(M)[0] for M in sorted(images, key=lambda M: M.shape[1]))
+    sine = np.linalg.norm(Qs - Ql @ (Ql.conj().T @ Qs), 2)
+    return float(np.arcsin(min(1.0, sine)))
 
 
 def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelReport:
@@ -387,16 +377,17 @@ def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
 
 def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> KernelReport:
     """Single-family control: one point does not suffice.  For P = 0 the
-    max_principal_angle is the L2 principal angle between the kernel and
-    the span of predicted_one_point_kernel(d), the |alpha| >= |beta|
-    monomials; elsewhere it is None."""
+    max_principal_angle is the largest L2 principal angle between the
+    kernel and the span of predicted_one_point_kernel(d), the
+    |alpha| >= |beta| monomials; elsewhere it is None.  It is the arcsin
+    of one residual norm: the smaller span's orthonormal basis less its
+    projection onto the larger, both mapped by the conjugate transpose of
+    the Gram matrix's Cholesky factor, in which metric L2 is Euclidean."""
     report = family_experiment((P,), d, n, seed)
     if P.norm() >= 1e-14:
         return replace(report, max_principal_angle=None)
-    L = np.linalg.cholesky(gram_matrix(report.basis))
-    span = _coordinate_span(report.basis, predicted_one_point_kernel(d))
-    angles = _principal_angles_metric(report.kernel_basis, span, L)
-    return replace(report, max_principal_angle=float(np.max(angles)))
+    angle = _max_angle_to_coordinate_span(report, predicted_one_point_kernel(d))
+    return replace(report, max_principal_angle=angle)
 
 
 def extension_consistency(

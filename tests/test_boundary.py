@@ -101,6 +101,11 @@ class TestHermitianPolynomial:
         with pytest.raises(ValueError, match="4 entries"):
             HermitianPolynomial({key: 1.0})
 
+    @pytest.mark.parametrize("key", [(1, 0, -1, 0), (0, -2, 0, 0)])
+    def test_multi_index_needs_nonnegative_entries(self, key):
+        with pytest.raises(ValueError, match="nonnegative"):
+            HermitianPolynomial({key: 1.0})
+
     @pytest.mark.parametrize(
         "alpha, beta", [((1, 2, 3), (0, 0)), ((1,), (0, 0)), ((1, 0), (0, 0, 1))]
     )

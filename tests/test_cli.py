@@ -1,10 +1,13 @@
+import errno
 import json
+import os
 
 import pytest
 
 from disctrace import cli
 from disctrace.boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
 from disctrace.cli import UsageError, format_point, main, parse_point
+from disctrace.errors import NotExtendible
 from disctrace.geometry import Complex2
 
 SCENE = ["0,0", "0.5,0", "0,0.5"]
@@ -166,6 +169,18 @@ class TestExtendCommand:
     def test_exterior_point_rejected(self, holomorphic_file):
         assert main(["extend", "--function", holomorphic_file, "--points",
                      *SCENE, "--at", "2,0"]) == 2
+
+    def test_extension_failure_after_membership(
+        self, holomorphic_file, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise NotExtendible("no extension value")
+
+        monkeypatch.setattr(cli, "extension_consistency", fail)
+        rc = main(["extend", "--function", holomorphic_file, "--points", *SCENE,
+                   "--at", "0.2,0.1", "--discs", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == "not extendible: no extension value\n"
 
 
 class TestScaleInvariance:
@@ -438,6 +453,14 @@ class TestUsageErrors:
             "empty": ["lemmas", "--out", ""],
         }[case]
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_report_write_fails(self, capsys):
+        # /dev/full passes the path check; writing the report then fails
+        assert main(["lemmas", "--seed", "0", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write report /dev/full: {os.strerror(errno.ENOSPC)}\n"
+        )
 
     def test_report_path_check_writes_nothing(self, tmp_path, capsys):
         # an undersampled run fails after the --out check and before the

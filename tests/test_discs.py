@@ -54,6 +54,8 @@ class TestStraightDisc:
             StraightDisc(Complex2(0.5, 0.0), Complex2(0.5, 0.0))  # not orthogonal
         with pytest.raises(ValueError):
             StraightDisc(Complex2(0.5, 0.0), Complex2(0.0, 1.0))  # norms off
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            StraightDisc(Complex2(0.0, 0.0), Complex2(0.0, 0.0))
 
     def test_boundary_on_sphere(self):
         rng = np.random.default_rng(0)

@@ -181,3 +181,12 @@ class TestBallAutomorphism:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             BallAutomorphism(Complex2(0, 0), np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_rejects_non_2x2_factor(self):
+        with pytest.raises(ValueError, match="2x2"):
+            BallAutomorphism(Complex2(0, 0), np.eye(3))
+
+    @pytest.mark.parametrize("a", [Complex2(1.0, 0.0), Complex2(2.0, 0.0)])
+    def test_rejects_center_off_the_ball(self, a):
+        with pytest.raises(ValueError, match="interior"):
+            BallAutomorphism(a, np.eye(2))

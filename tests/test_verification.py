@@ -47,11 +47,9 @@ def main_report():
 def _angle_to_holomorphic_span(report) -> float:
     """Largest L2 principal angle between the kernel and the holomorphic
     coordinate span, computed explicitly."""
-    L = np.linalg.cholesky(gram_matrix(report.basis))
-    span = verification._coordinate_span(
-        report.basis, holomorphic_basis(report.config["degree"])
+    return verification._max_angle_to_coordinate_span(
+        report, holomorphic_basis(report.config["degree"])
     )
-    return np.max(verification._principal_angles_metric(report.kernel_basis, span, L))
 
 
 @pytest.fixture
@@ -477,6 +475,18 @@ class TestOnePointControl:
         assert report.max_principal_angle < 1e-8
         # |alpha| >= |beta| is not the holomorphic span: the angle is measured
         assert len(gram_calls) == 1
+
+    @pytest.mark.parametrize(
+        "swap, angle", [((0, 0, 1, 0), np.pi / 2), ((0, 2, 0, 1), np.arcsin(1 / 3))]
+    )
+    def test_angle_in_the_l2_metric(self, main_report, swap, angle):
+        # z2 swapped for conj(z1), L2-orthogonal to every holomorphic
+        # polynomial, or for z2|z2|^2, whose cosine to them is 2*sqrt(2)/3:
+        # on S^3, <z2|z2|^2, z2> = 1/3, |z2|^2 = 1/2 and |z2|z2|^2|^2 = 1/4.
+        # Near pi/2 the arcsin keeps only half the digits.
+        members = [k for k in holomorphic_basis(4) if k != (0, 1, 0, 0)] + [swap]
+        got = verification._max_angle_to_coordinate_span(main_report, members)
+        assert got == pytest.approx(angle, abs=1e-7)
 
     def test_predicted_enumeration(self):
         pred = predicted_one_point_kernel(4)
