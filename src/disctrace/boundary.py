@@ -39,7 +39,11 @@ class HermitianPolynomial:
     def __post_init__(self):
         clean = {}
         for k, c in self.terms.items():
-            # operator.index raises TypeError on 1.5 where int() truncates
+            # bool is an int subclass, but True is no exponent (from_json_dict
+            # rejects JSON true too); operator.index raises TypeError on 1.5
+            # where int() truncates
+            if any(isinstance(i, (bool, np.bool_)) for i in k):
+                raise ValueError("multi-index entries must be integers, not bools")
             k = tuple(operator.index(i) for i in k)
             if len(k) != 4:
                 raise ValueError("multi-indices must have 4 entries")
@@ -49,9 +53,10 @@ class HermitianPolynomial:
                 raise ValueError(
                     f"monomial degree {_total_degree(k)} exceeds cap {MAX_DEGREE}"
                 )
-            c = complex(c)
+            # np.isfinite raises TypeError for a str, which complex() would parse
             if not np.isfinite(c):
                 raise ValueError("coefficients must be finite")
+            c = complex(c)
             if c != 0:
                 clean[k] = clean.get(k, 0.0) + c
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})

@@ -9,13 +9,17 @@ the disc iff its negative coefficients vanish.
 The moment test and the extension values split f into its holomorphic
 terms, which have no negative Laurent terms and extend as themselves (they
 are evaluated directly at A(tau0)), and the rest, whose Laurent
-coefficients come from _boundary_dft, the one boundary DFT that also builds
-the moment matrix of verification.build_moment_matrix.  The moment test
-samples at the 2D + 2 roots of unity (D the top degree): the restriction of
-a sum of monomials has degrees in [-D, D], so the DFT is exact.  The moment
-matrix samples each monomial at d + 1 points, enough for its own Laurent
-window.  The tests compare both with the exact coefficient-by-coefficient
-restriction, restrict_to_disc in tests/oracles.py.
+coefficients come from _laurent_coefficients.  That one function also
+builds the moment matrix of verification.build_moment_matrix: it samples
+the monomials at the N roots of unity and returns the coefficients of the
+degrees it is asked for, through one small matrix of tau^-k / N, so no
+caller handles the aliasing of degrees mod N or the 1/N.  The moment test
+asks for the degrees -D..D from 2D + 2 samples (D the top degree): the
+restriction of a sum of monomials has degrees in [-D, D], so they are
+exact.  The moment matrix asks for the degrees -1..-d from d + 1 samples,
+enough for the Laurent window of each monomial.  The tests compare both
+with the exact coefficient-by-coefficient restriction, restrict_to_disc in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,22 +43,26 @@ class ExtendibilityReport:
     verdict: bool
 
 
-def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, N: int) -> np.ndarray:
-    """Unnormalized DFT along tau of the monomials z^alpha conj(z)^beta with
-    exponent rows e = (alpha1, alpha2, beta1, beta2) on the boundaries of
-    the discs a + tau*b ((n, 2) arrays), sampled at the N roots of unity;
-    shape (n, N, len(e)).
+def _laurent_coefficients(discs, e: np.ndarray, N: int, ks: np.ndarray) -> np.ndarray:
+    """Laurent coefficients ks[i] along tau of the monomials
+    z^alpha conj(z)^beta with exponent rows e = (alpha1, alpha2, beta1,
+    beta2) on the boundaries a + tau*b of the given n straight discs, from
+    their samples at the N roots of unity tau_j; shape (n, len(ks), len(e)),
+    row i the coefficient ks[i].
 
     The samples come from a table of z1^i z2^j, 0 <= i, j <= e.max(), at
     every sample point: each column is one gather from the table (z^alpha)
-    times one gather from its conjugate (conj(z)^beta).
+    times one gather from its conjugate (conj(z)^beta).  One (len(ks), N)
+    matrix of tau_j^-k / N takes them to the coefficients.
 
-    Divided by N, index k holds the sum of the Laurent coefficients j with
-    j = k mod N.  A monomial has coefficients only in [-|beta|, |alpha|], so
-    index k holds its coefficient k for 0 <= k <= |alpha| and index N - k its
-    coefficient -k for 1 <= k <= |beta| whenever N > |alpha| + |beta|; a sum
-    of monomials of degree <= D needs N > 2D.
+    The row of degree k holds the sum of the Laurent coefficients j with
+    j = k mod N.  A monomial has coefficients only in [-|beta|,
+    |alpha|], so its coefficient k is exact for -|beta| <= k <= |alpha|
+    whenever N > |alpha| + |beta|; a sum of monomials of degree <= D needs
+    N > 2D.
     """
+    a = np.array([disc.a.as_array() for disc in discs])
+    b = np.array([disc.b.as_array() for disc in discs])
     tau = np.exp(2j * np.pi * np.arange(N) / N)
     z = a[:, None, :] + tau[None, :, None] * b[:, None, :]
     m = e.max() + 1
@@ -63,25 +71,26 @@ def _boundary_dft(a: np.ndarray, b: np.ndarray, e: np.ndarray, N: int) -> np.nda
     alpha, beta = (e[:, ::2] * m + e[:, 1::2]).T  # positions of z^alpha, z^beta
     samples = table.take(alpha, axis=2)
     samples *= table.conj().take(beta, axis=2)
-    return np.fft.fft(samples, axis=1)
+    # tau_j^-k is the root tau_((-k * j) mod N), not a power of tau_j
+    return tau[np.outer(-ks, np.arange(N)) % N] / N @ samples
 
 
 def _nonholomorphic_coefficients(
     f: HermitianPolynomial, A: StraightDisc
 ) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficients on the boundary of A of the non-holomorphic
-    terms of f, as (c_0..c_D, c_-1..c_-D), D their top degree; both empty
-    when f is holomorphic.  The boundary DFT of those monomials, contracted
-    with their coefficients over the largest modulus, which cannot overflow;
-    only the results are scaled back."""
+    terms of f, as (c_0..c_D, c_-D..c_-1), D their top degree; both empty
+    when f is holomorphic.  The coefficients -D..D of those monomials,
+    contracted with their coefficients over the largest modulus, which
+    cannot overflow; only the results are scaled back."""
     e, coeffs, D = f.nonholomorphic_terms
     if not coeffs.size:
         return coeffs, coeffs
-    N = 2 * D + 2  # the window [-D, D] of a sum of monomials has 2D + 1 terms
-    dft = _boundary_dft(A.a.as_array()[None], A.b.as_array()[None], e, N)[0]
+    # 2D + 2 samples: the window [-D, D] of a sum of monomials has 2D + 1 terms
+    laurent = _laurent_coefficients([A], e, 2 * D + 2, np.arange(-D, D + 1))[0]
     top = np.abs(coeffs).max()
-    c = dft @ (coeffs / top) / N * top
-    return c[: D + 1], c[-1 : -D - 1 : -1]
+    c = laurent @ (coeffs / top) * top
+    return c[D:], c[:D]
 
 
 def _max_modulus(coeffs: np.ndarray) -> float:

@@ -42,7 +42,7 @@ from .geometry import (
     cp1_distance,
     hermitian_inner,
 )
-from .moments import _boundary_dft, extension_value
+from .moments import _laurent_coefficients, extension_value
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 SPECTRAL_GAP_MIN = 1e3
@@ -115,18 +115,19 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
     degree <= d along the given discs, as its |beta| staircase.
 
     The coefficients -1..-d of every non-holomorphic monomial come from
-    moments._boundary_dft, the boundary DFT that the moment test shares,
-    at d + 1 samples per disc: the Laurent window [-|beta|, |alpha|] of one
-    monomial has at most d + 1 terms, so the DFT is exact (the tests compare
-    it with the scalar oracle restrict_to_disc in tests/oracles.py).  The
-    basis is sorted by |beta|, so the DFT's coefficient -k of the monomials
-    with |beta| >= k, a suffix of its columns, goes straight into block k;
-    where |beta| < k it holds the coefficient d + 1 - k and is not read.
-    Discs are processed in chunks of _discs_per_chunk discs, at
-    most _CHUNK_BYTES (512 KiB) of samples: the DFT of one chunk keeps about
-    three arrays of that size alive (the samples, a gather from its table of
-    z1^i z2^j, and the FFT output), so the assembly's scratch stays within a
-    few chunks beyond the staircase it stores, whatever the number of discs.
+    moments._laurent_coefficients, which the moment test shares, at d + 1
+    samples per disc: the Laurent window [-|beta|, |alpha|] of one monomial
+    has at most d + 1 terms, so its coefficients -1..-|beta| are exact (the
+    tests compare them with the scalar oracle restrict_to_disc in
+    tests/oracles.py).  The basis is sorted by |beta|, so the coefficient -k
+    of the monomials with |beta| >= k, a suffix of the columns, goes
+    straight into block k; where |beta| < k the same row holds an aliased
+    coefficient and is not read.  Discs are processed in chunks of
+    _discs_per_chunk discs, at most _CHUNK_BYTES (512 KiB) of samples: one
+    chunk keeps about three arrays of that size alive (the samples, a
+    gather from its table of z1^i z2^j, and their d coefficient rows), so
+    the assembly's scratch stays within a few chunks beyond the staircase
+    it stores, whatever the number of discs.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -134,18 +135,15 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         raise ValueError("need at least one disc")
     basis = [k for k in _reduced_basis(d) if k[2] + k[3] > 0]
     e = np.array(basis)
-    a = np.array([disc.a.as_array() for disc in discs])
-    b = np.array([disc.b.as_array() for disc in discs])
-    N = d + 1
     # starts[k - 1]: the number of columns with |beta| < k
     starts = np.searchsorted(e[:, 2] + e[:, 3], np.arange(1, d + 1))
     blocks = [np.empty((len(discs), len(basis) - s), dtype=complex) for s in starts]
-    step = _discs_per_chunk(N, len(basis))
+    step = _discs_per_chunk(d + 1, len(basis))
     for lo in range(0, len(discs), step):
         hi = min(lo + step, len(discs))
-        f = _boundary_dft(a[lo:hi], b[lo:hi], e, N)
+        c = _laurent_coefficients(discs[lo:hi], e, d + 1, -np.arange(1, d + 1))
         for k, (s, block) in enumerate(zip(starts, blocks), 1):
-            np.divide(f[:, N - k, s:], N, out=block[lo:hi])
+            block[lo:hi] = c[:, k - 1, s:]
     return MomentMatrix(blocks, basis)
 
 

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the disctrace pipeline with.
 
 None of these runs in the library: the pipeline restricts polynomials to
-disc boundaries through one boundary DFT (moments._boundary_dft), takes
+disc boundaries through one function (moments._laurent_coefficients), takes
 inner products through the Gram matrix (boundary.gram_matrix) and lift
 classes through discs.lift.  The oracles do the same work the slow, plain
 way:

@@ -84,6 +84,18 @@ class TestHermitianPolynomial:
         with pytest.raises(TypeError):
             HermitianPolynomial({(i, 0, 0, 0): 1.0})
 
+    @pytest.mark.parametrize("c", ["2.5", b"1"])
+    def test_string_coefficient_rejected(self, c):
+        # complex() parses "2.5" into 2.5 + 0j; Complex2 rejects it too
+        with pytest.raises(TypeError):
+            HermitianPolynomial({(1, 0, 0, 0): c})
+
+    @pytest.mark.parametrize("i", [True, np.True_])
+    def test_bool_multi_index_rejected(self, i):
+        # True would read as the exponent 1; from_json_dict rejects JSON true too
+        with pytest.raises(ValueError, match="not bools"):
+            HermitianPolynomial({(i, 0, 0, 0): 1.0})
+
     @pytest.mark.parametrize(
         "alpha, beta",
         [([1], [0, 0]), ([1, 0, 5], [0, 0]), ([1.5, 0], [0, 0]),

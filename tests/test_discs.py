@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -332,18 +333,21 @@ def test_point_arithmetic_ignores_the_callers_number_type():
             Complex2(0.0, bad)
 
 
-def test_cold_commands_leave_scipy_and_numpy_random_out(tmp_path):
+def cold_command_modules(tmp_path, f, prefixes):
+    """Exit codes of the kernel, test and extend commands on the function f,
+    run in one fresh interpreter, and for each prefix the sorted modules
+    under it that they and `import disctrace` add to those `import numpy`
+    loads."""
     src = os.path.dirname(os.path.dirname(disctrace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    f = tmp_path / "holomorphic.json"
-    f.write_text('{"terms": [{"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": 0.0}]}')
-    # numpy < 2 loads numpy.random in `import numpy` itself, so only the
-    # numpy.random modules the commands add are counted.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json_dict()))
     code = (
-        "import contextlib, io, sys, numpy\n"
+        "import contextlib, io, json, sys, numpy\n"
         "def loaded(prefix):\n"
         "    return {m for m in sys.modules if m == prefix or m.startswith(prefix + '.')}\n"
-        "before = loaded('numpy.random')\n"
+        "prefixes = sys.argv[2:]\n"
+        "before = {p: loaded(p) for p in prefixes}\n"
         "import disctrace, disctrace.cli\n"
         "f, pts = sys.argv[1], ['0,0', '0.5,0', '0,0.5']\n"
         "runs = [['kernel', '--points', *pts, '--degree', '2', '--discs', '6'],\n"
@@ -351,10 +355,29 @@ def test_cold_commands_leave_scipy_and_numpy_random_out(tmp_path):
         "        ['extend', '--function', f, '--points', *pts, '--at', '0.2,0.1']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [disctrace.cli.main(argv) for argv in runs]\n"
-        "print(codes, sorted(loaded('scipy')), sorted(loaded('numpy.random') - before))"
+        "print(json.dumps([codes, {p: sorted(loaded(p) - before[p]) for p in prefixes}]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(f)], env=env, capture_output=True,
-        text=True, check=True,
+        [sys.executable, "-c", code, str(path), *prefixes], env=env,
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0] [] []"
+    return json.loads(out.stdout)
+
+
+def test_cold_commands_leave_scipy_and_numpy_random_out(tmp_path):
+    # numpy < 2 loads numpy.random in `import numpy` itself, so only the
+    # numpy.random modules the commands add are counted.
+    holomorphic = HermitianPolynomial({(2, 1, 0, 0): 1.0})
+    codes, added = cold_command_modules(tmp_path, holomorphic, ["scipy", "numpy.random"])
+    assert codes == [0, 0, 0]
+    assert added == {"scipy": [], "numpy.random": []}
+
+
+def test_cold_commands_add_no_numpy_fft(tmp_path):
+    # the Laurent coefficients of the moment matrix and of the moment test
+    # come from a small DFT matrix, not numpy.fft; f has non-holomorphic
+    # terms, so test and extend compute them.  numpy < 2 loads numpy.fft in
+    # `import numpy` itself, so only the modules the commands add are counted.
+    codes, added = cold_command_modules(tmp_path, EXTENDS_ALONG_EVERY_DISC, ["numpy.fft"])
+    assert codes == [0, 0, 0]
+    assert added == {"numpy.fft": []}

@@ -11,6 +11,7 @@ from disctrace.discs import (
 from disctrace.errors import NotExtendible
 from disctrace.geometry import Complex2
 from disctrace.moments import (
+    _laurent_coefficients,
     extendibility_test,
     extension_value,
     lifted_value,
@@ -100,6 +101,43 @@ class TestRestrictToDisc:
             assert r.eval_circle(np.exp(1j * t)) == pytest.approx(
                 evaluate(f, boundary_point(disc, t)), abs=1e-12
             )
+
+
+class TestLaurentCoefficients:
+    """_laurent_coefficients against the exact restriction, on every reduced
+    monomial of degree <= 6 and three sampled discs."""
+
+    discs = sample_disc_family(Complex2(0.3, 0.2), 3, 0)
+
+    def exact(self, e, ks):
+        """(discs, ks, monomials) coefficients from restrict_to_disc."""
+        out = np.zeros((len(self.discs), len(ks), len(e)), dtype=complex)
+        for j, key in enumerate(map(tuple, e)):
+            for i, disc in enumerate(self.discs):
+                laurent = restrict_to_disc(HermitianPolynomial({key: 1.0}), disc)
+                out[i, :, j] = [laurent[k] for k in ks]
+        return out
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_negative_rows_at_d_plus_1_samples(self, d):
+        # the moment matrix's window: rows k = -1..-d from N = d + 1 samples;
+        # row k is exact for the monomials with |beta| >= -k
+        e = np.array(reduced_basis(d))
+        ks = -np.arange(1, d + 1)
+        c = _laurent_coefficients(self.discs, e, d + 1, ks)
+        assert c.shape == (3, d, len(e))
+        exact = self.exact(e, ks)
+        for i, k in enumerate(ks):
+            cols = e[:, 2] + e[:, 3] >= -k
+            assert np.max(np.abs(c[:, i, cols] - exact[:, i, cols])) < 1e-12
+
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_all_rows_at_2D_plus_2_samples(self, D):
+        # the moment test's window: rows k = -D..D from N = 2D + 2 samples
+        e = np.array(reduced_basis(D))
+        ks = np.arange(-D, D + 1)
+        c = _laurent_coefficients(self.discs, e, 2 * D + 2, ks)
+        assert np.max(np.abs(c - self.exact(e, ks))) < 1e-12
 
 
 class TestExtendibility:
