@@ -29,7 +29,7 @@ from disctrace.moments import extension_value, lifted_value
 
 
 # g + (|z1|^2 + |z2|^2)*h extends along every disc, and its
-# non-holomorphic terms take the boundary-DFT path
+# non-holomorphic terms take the sampled Laurent-coefficient path
 EXTENDS_ALONG_EVERY_DISC = HermitianPolynomial(
     {(2, 1, 0, 0): 0.3 + 0.1j, (0, 3, 0, 0): -0.2, (0, 0, 0, 0): 0.5,
      (2, 0, 1, 0): 0.4j, (1, 1, 0, 1): 0.4j}
