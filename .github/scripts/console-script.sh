@@ -11,6 +11,10 @@ z2sq="$tmp/z2sq.json"
 echo '{"terms": [{"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": 0.0}]}' > "$holo"
 echo '{"terms": [{"alpha": [0, 1], "beta": [0, 1], "re": 1.0, "im": 0.0}]}' > "$z2sq"
 fail=0
+# peak resident memory, printed for information only: a cold import that
+# compiles disctrace without writing bytecode, the case the benchmark
+# measures; it runs before any command here can write a __pycache__
+PYTHONDONTWRITEBYTECODE=1 python -c 'import os, subprocess, sys; p = subprocess.Popen([sys.executable, "-c", "import disctrace"]); _, status, ru = os.wait4(p.pid, 0); print(f"peak RSS {ru.ru_maxrss / 1024:.1f} MiB, exit {os.waitstatus_to_exitcode(status)}: cold import disctrace, no bytecode cache")'
 expect() {  # expect CODE COMMAND...: run the command, compare its exit code
   want=$1; shift
   "$@" > /dev/null; got=$?

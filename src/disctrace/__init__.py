@@ -22,6 +22,7 @@ from .geometry import (
     cp1_distance,
     hermitian_inner,
 )
+from .lemmas import lemma_suite
 from .moments import (
     ExtendibilityReport,
     extendibility_test,
@@ -35,7 +36,6 @@ from .verification import (
     extension_consistency,
     family_experiment,
     kernel_experiment,
-    lemma_suite,
     one_point_control,
     sample_disc_family,
 )

@@ -18,12 +18,12 @@ from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
 from .discs import LINE_MARGIN
 from .errors import CollinearPoints, DiscTraceError, NotExtendible
 from .geometry import Complex2
+from .lemmas import lemma_suite
 from .moments import extendibility_test, within_moment_bound
 from .verification import (
     _assert_general_position,
     extension_consistency,
     kernel_experiment,
-    lemma_suite,
     sample_disc_family,
 )
 

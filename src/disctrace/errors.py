@@ -27,7 +27,7 @@ class NotExtendible(DiscTraceError):
 
 class CollinearPoints(DiscTraceError):
     """The points are not in general position: two of them coincide, or
-    three lie on one complex line."""
+    three or more all lie on one complex line."""
 
 
 class DegenerateSample(DiscTraceError):

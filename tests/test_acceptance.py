@@ -31,15 +31,17 @@ from disctrace.discs import (
     lift,
 )
 from disctrace.geometry import CP1Point, Complex2, cp1_distance
+from disctrace.lemmas import (
+    lift_pair_min_distance,
+    random_direction,
+    random_interior_point,
+)
 from disctrace.moments import extension_value
 from disctrace.verification import (
     extension_consistency,
     kernel_experiment,
-    lift_pair_min_distance,
     one_point_control,
     predicted_one_point_kernel,
-    random_direction,
-    random_interior_point,
 )
 from oracles import (
     evaluate,

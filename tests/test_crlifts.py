@@ -15,7 +15,7 @@ from disctrace.crlifts import (
 from disctrace.discs import LiftPoint, disc_from_line, disc_through_two_points, lift
 from disctrace.errors import ChartEvaluationFailure
 from disctrace.geometry import CP1Point, Complex2, cp1_distance
-from disctrace.verification import random_direction, random_interior_point
+from disctrace.lemmas import random_direction, random_interior_point
 from oracles import family_class
 
 

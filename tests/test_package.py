@@ -1,5 +1,5 @@
 import disctrace
-from disctrace import boundary, crlifts, moments
+from disctrace import boundary, crlifts, lemmas, moments, verification
 from disctrace.verification import KernelReport
 
 # the reference implementations that only the tests call; they live in
@@ -23,5 +23,31 @@ def test_public_surface_is_the_pipeline():
     exec("from disctrace import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(disctrace.__all__)
-    for owner in (disctrace, moments, boundary, crlifts, KernelReport):
+    for owner in (disctrace, moments, boundary, crlifts, lemmas, KernelReport):
         assert [name for name in ORACLES if hasattr(owner, name)] == []
+
+
+# the lemma suite and the code only it uses, which live in disctrace.lemmas
+LEMMAS_ONLY = (
+    "LemmaCheck",
+    "LemmaSuiteReport",
+    "lemma_suite",
+    "random_interior_point",
+    "random_direction",
+    "random_disc",
+    "_lift_curve_samples",
+    "_max_class_distance",
+    "_lift_distance_features",
+    "lift_pair_min_distance",
+    "_LEVI_DIRECTIONS",
+    "_circle_mean_defect",
+    "_real_span_solve",
+)
+
+
+def test_verification_holds_only_the_kernel_pipeline():
+    # every import of disctrace compiles verification: it must not carry
+    # the lemma suite or its crlifts dependency
+    assert not hasattr(verification, "crlifts")
+    assert [name for name in LEMMAS_ONLY if hasattr(verification, name)] == []
+    assert [name for name in LEMMAS_ONLY if not hasattr(lemmas, name)] == []

@@ -12,18 +12,20 @@ from disctrace.boundary import (
 from disctrace.discs import disc_from_line
 from disctrace.errors import CollinearPoints, DegenerateSample
 from disctrace.geometry import Complex2
-from disctrace import verification
+from disctrace import lemmas, verification
+from disctrace.lemmas import (
+    lemma_suite,
+    lift_pair_min_distance,
+    random_direction,
+    random_interior_point,
+)
 from disctrace.verification import (
     build_moment_matrix,
     extension_consistency,
     family_experiment,
     kernel_experiment,
-    lemma_suite,
-    lift_pair_min_distance,
     one_point_control,
     predicted_one_point_kernel,
-    random_direction,
-    random_interior_point,
     sample_disc_family,
 )
 from oracles import (
@@ -526,6 +528,26 @@ class TestTwoPointProbe:
         assert gram_calls == []
         assert _angle_to_holomorphic_span(report) < 1e-14
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (P1, P2, Complex2(-0.5, 0), Complex2(0.25, 0)),
+            (P1, P2, Complex2(-0.5, 0), Complex2(0.25, 0), Complex2(0.1j, 0)),
+        ],
+        ids=["four", "five"],
+    )
+    def test_collinear_rejected_whatever_the_number(self, points):
+        # every three of these points lie on z2 = 0, and so do all of them
+        with pytest.raises(
+            CollinearPoints, match=f"^the {len(points)} points lie on one complex line$"
+        ):
+            family_experiment(points, d=3, n=20, seed=7)
+
+    def test_one_point_off_the_line_passes(self):
+        points = (P1, P2, Complex2(-0.5, 0), Complex2(0.25, 0.3))
+        report = family_experiment(points, d=3, n=20, seed=7)
+        assert report.kernel_dimension == report.expected_holomorphic_dimension
+
     def test_distinct_points_required(self):
         # a third point equal to the first or the second also puts the three
         # on one complex line: the error names the coincidence
@@ -570,8 +592,8 @@ def broadcast_min_distance(d1, d2, P, n_tau=48, radius=1e-3):
     rr = np.linspace(0.05, 0.95, 6)
     th = 2 * np.pi * np.arange(n_tau) / n_tau
     taus = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
-    b1, z1 = verification._lift_curve_samples(d1, taus)
-    b2, z2 = verification._lift_curve_samples(d2, taus)
+    b1, z1 = lemmas._lift_curve_samples(d1, taus)
+    b2, z2 = lemmas._lift_curve_samples(d2, taus)
     Pv = P.as_array()
     keep1 = np.linalg.norm(b1 - Pv, axis=1) > radius
     keep2 = np.linalg.norm(b2 - Pv, axis=1) > radius
@@ -613,7 +635,7 @@ class TestLiftPairMinDistance:
             P = d1.point(tau)
             w = v + 3e-2 * random_direction(rng).as_array()
             d2 = disc_from_line(P, Complex2(*w))
-            base, _ = verification._lift_curve_samples(d1, [tau])
+            base, _ = lemmas._lift_curve_samples(d1, [tau])
             assert np.linalg.norm(base[0] - P.as_array()) < 1e-3
             expected = broadcast_min_distance(d1, d2, P)
             assert abs(lift_pair_min_distance(d1, d2, P) - expected) < 1e-12
@@ -686,5 +708,5 @@ class TestCircleMeanDefect:
         # rho = 0.1, far above its 1e-12 threshold
         rng = np.random.default_rng(5)
         centres = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-        defect = verification._circle_mean_defect(u, centres)
+        defect = lemmas._circle_mean_defect(u, centres)
         assert defect == pytest.approx(1e-2 * levi, rel=1e-12)
