@@ -26,6 +26,10 @@ expect 0 disctrace kernel --points 0,0 0.5,0 0,0.5 --degree 4 --discs 60 --seed 
 # n_min(12) = 45 at the standard scene and seed 7: 44 discs per point fall short
 expect 0 disctrace kernel --points 0,0 0.5,0 0,0.5 --degree 12 --discs 45 --seed 7 --json-only
 expect 1 disctrace kernel --points 0,0 0.5,0 0,0.5 --degree 12 --discs 44 --seed 7 --json-only
+# one point does not suffice: the origin alone leaves the 32-dimensional
+# |alpha| >= |beta| span and exits 1; two points leave the holomorphic span
+expect 1 disctrace kernel --points 0,0 --degree 4 --discs 60 --seed 7 --json-only
+expect 0 disctrace kernel --points 0.5,0 0,0.5 --degree 4 --discs 60 --seed 7 --json-only
 peak() {  # peak ARG...: print the peak resident memory of a cold disctrace ARG...
   python -c 'import os, subprocess, sys; p = subprocess.Popen(["disctrace", *sys.argv[1:]], stdout=subprocess.DEVNULL); _, status, ru = os.wait4(p.pid, 0); print(f"peak RSS {ru.ru_maxrss / 1024:.1f} MiB, exit {os.waitstatus_to_exitcode(status)}: disctrace", *sys.argv[1:])' "$@"
 }

@@ -34,9 +34,7 @@ from .verification import (
     MomentMatrix,
     build_moment_matrix,
     extension_consistency,
-    family_experiment,
     kernel_experiment,
-    one_point_control,
     sample_disc_family,
 )
 
@@ -62,13 +60,11 @@ __all__ = [
     "extendibility_test",
     "extension_consistency",
     "extension_value",
-    "family_experiment",
     "hermitian_inner",
     "kernel_experiment",
     "lemma_suite",
     "lift",
     "lifted_value",
-    "one_point_control",
     "reduced_basis",
     "sample_disc_family",
 ]

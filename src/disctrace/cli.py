@@ -28,12 +28,13 @@ from .verification import (
 )
 
 # a disc family holds one Python object per disc; the kernel command's
-# stability run also stores the |beta| staircase of M_nh: for 3 * 2n discs,
-# one complex entry per monomial z^alpha conj(z)^beta and k = 1..|beta|.
-# _MAX_MATRIX_BYTES bounds that staircase only.  The rank step's scratch
-# comes on top: about two copies of its stage-1 stack, 3 * 2n rows of the
-# non-holomorphic columns in complex entries (3 * 2n * 728 * 16 B at
-# d = 12), which is about 0.4 GB at the degree-12 cap of n = 2997
+# stability run also stores the |beta| staircase of M_nh: for 2n discs per
+# point, one complex entry per disc, monomial z^alpha conj(z)^beta and
+# k = 1..|beta|.  _MAX_MATRIX_BYTES bounds that staircase only, whatever the
+# number of points.  The rank step's scratch comes on top: about two copies
+# of its stage-1 stack, one row per disc over the non-holomorphic columns
+# in complex entries (3 * 2n * 728 * 16 B for three points at d = 12), which
+# is about 0.4 GB at the three-point degree-12 cap of n = 2997
 _MAX_DISCS = 100_000
 _MAX_MATRIX_BYTES = 2**30
 
@@ -139,17 +140,18 @@ def _check_discs(n: int, limit: int = _MAX_DISCS) -> None:
         raise UsageError(f"--discs must be in [1, {limit}]")
 
 
-def _kernel_disc_limit(d: int) -> int:
-    """The largest --discs whose doubled run's |beta| staircase fits in
-    1 GiB; the rank step's scratch, about 0.4 GB more at degree 12, is not
-    counted (see _MAX_MATRIX_BYTES)."""
-    per_disc = 16 * 3 * 2 * sum(k[2] + k[3] for k in reduced_basis(d))
+def _kernel_disc_limit(d: int, points: int) -> int:
+    """The largest --discs whose doubled run over the given number of
+    points has a |beta| staircase that fits in 1 GiB; the rank step's
+    scratch, about 0.4 GB more for three points at degree 12, is not counted
+    (see _MAX_MATRIX_BYTES)."""
+    per_disc = 16 * points * 2 * sum(k[2] + k[3] for k in reduced_basis(d))
     return min(_MAX_DISCS, _MAX_MATRIX_BYTES // per_disc) if d else _MAX_DISCS
 
 
 def cmd_kernel(args) -> int:
     _check_degree(args.degree)
-    _check_discs(args.discs, _kernel_disc_limit(args.degree))
+    _check_discs(args.discs, _kernel_disc_limit(args.degree, len(args.points)))
     points = [parse_interior_point(t) for t in args.points]
     _check_report_path(args.out)
     report = kernel_experiment(
@@ -236,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
             "it is always printed)",
         )
 
-    k = sub.add_parser("kernel", help="three-point nullspace experiment")
-    k.add_argument("--points", nargs=3, required=True)
+    k = sub.add_parser("kernel", help="nullspace experiment through one or more points")
+    k.add_argument("--points", nargs="+", required=True)
     k.add_argument("--degree", type=int, default=4)
     k.add_argument("--discs", type=int, default=60)
     common(k)

@@ -5,7 +5,8 @@ for families of straight discs through interior points, stack the negative
 Fourier coefficients of every reduced sphere monomial along every sampled
 disc into a moment matrix.  Its nullspace is the space of polynomials that
 extend along all sampled discs; for three non-collinear points it must
-coincide with the holomorphic trace span.
+coincide with the holomorphic trace span, and for the origin alone it is
+the span of the |alpha| >= |beta| monomials.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ class KernelReport:
     the rest of basis.  A full-rank block has no null vectors (null_vectors
     has zero columns); its singular values are computed without vectors.
     The kernel contains the holomorphic span by construction, so
-    max_principal_angle, the angle to the predicted span, is 0.0 except in
-    the one-point control (None off the origin)."""
+    max_principal_angle, the angle to the predicted span, is 0.0 except for
+    a single point: the angle to the |alpha| >= |beta| span at the origin,
+    None elsewhere."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
@@ -303,76 +305,65 @@ def _assert_general_position(points) -> None:
     raise CollinearPoints(f"the {count} points lie on one complex line")
 
 
-def family_experiment(points, d: int, n: int, seed: int = 0) -> KernelReport:
-    """Nullspace experiment for the disc families through the given points,
-    n discs each.  The points must be interior (ValueError) and in general
-    position (CollinearPoints): pairwise distinct, and, from three points
-    on, not all on one complex line.  Family j is sampled with seed + j.  Degree 0 gets
-    its own report: kernel 1, spectral gap inf."""
-    for p in points:
-        if p.norm() >= 1.0:
-            raise ValueError("points must be interior")
-    _assert_general_position(points)
-    config = {
-        "points": [[p.z1.real, p.z1.imag, p.z2.real, p.z2.imag] for p in points],
-        "degree": d,
-        "discs_per_point": n,
-        "seed": seed,
-    }
-    if d == 0:
-        # no negative-degree rows exist at degree 0: constants are holomorphic
-        null = np.zeros((0, 0))
-        return KernelReport(
-            1, 1, 0.0, np.array([]), float("inf"), null, _reduced_basis(0), config
-        )
-    discs = []
-    for j, P in enumerate(points):
-        discs.extend(sample_disc_family(P, n, seed + j))
-    return _nullspace_report(build_moment_matrix(d, discs), d, config)
-
-
-def kernel_experiment(
-    P1: Complex2,
-    P2: Complex2,
-    P3: Complex2,
-    d: int,
-    discs_per_point: int,
-    seed: int = 0,
-    check_stability: bool = True,
-) -> KernelReport:
-    """Three-family nullspace experiment: for non-collinear interior points
-    the kernel must be exactly the holomorphic trace span of degree <= d.
-    check_stability requires the same kernel dimension at twice the discs."""
-    points = (P1, P2, P3)
-    report = family_experiment(points, d, discs_per_point, seed)
-    if check_stability:
-        doubled = family_experiment(points, d, 2 * discs_per_point, seed)
-        if doubled.kernel_dimension != report.kernel_dimension:
-            raise DegenerateSample(
-                "kernel dimension not stable under doubling the disc count "
-                f"(discs per point: {discs_per_point} gives kernel dimension "
-                f"{report.kernel_dimension}, {2 * discs_per_point} gives "
-                f"{doubled.kernel_dimension})"
-            )
-    return report
-
-
 def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
     """Reduced monomials extendible along every disc through the origin:
     those with |alpha| >= |beta|."""
     return [k for k in reduced_basis(d) if k[0] + k[1] >= k[2] + k[3]]
 
 
-def one_point_control(P: Complex2, d: int, n: int, seed: int = 0) -> KernelReport:
-    """Single-family control: one point does not suffice.  For P = 0 the
-    max_principal_angle is the largest L2 principal angle between the
-    kernel and the span of predicted_one_point_kernel(d), the
-    |alpha| >= |beta| monomials; elsewhere it is None.  It is the arcsin
-    of one residual norm: the smaller span's orthonormal basis less its
-    projection onto the larger, both mapped by the conjugate transpose of
-    the Gram matrix's Cholesky factor, in which metric L2 is Euclidean."""
-    report = family_experiment((P,), d, n, seed)
-    if P.norm() >= 1e-14:
+def kernel_experiment(
+    *points: Complex2,
+    d: int,
+    discs_per_point: int,
+    seed: int = 0,
+    check_stability: bool = True,
+) -> KernelReport:
+    """Nullspace experiment for the disc families through one or more
+    interior points (ValueError otherwise) in general position
+    (CollinearPoints otherwise, see _assert_general_position),
+    discs_per_point discs each, family j sampled with seed + j.  For three
+    non-collinear points the kernel must be exactly the holomorphic trace
+    span of degree <= d.  Degree 0 gets its own report: kernel 1, spectral
+    gap inf.  check_stability requires the same kernel dimension at twice
+    the discs.  For one point, max_principal_angle is the largest L2
+    principal angle between the kernel and the span of
+    predicted_one_point_kernel(d) at the origin, and None elsewhere."""
+    if not points:
+        raise ValueError("need at least one point")
+    if any(p.norm() >= 1.0 for p in points):
+        raise ValueError("points must be interior")
+    _assert_general_position(points)
+    config = {
+        "points": [[p.z1.real, p.z1.imag, p.z2.real, p.z2.imag] for p in points],
+        "degree": d,
+        "discs_per_point": discs_per_point,
+        "seed": seed,
+    }
+
+    def run(n: int) -> KernelReport:
+        discs = []
+        for j, P in enumerate(points):
+            discs.extend(sample_disc_family(P, n, seed + j))
+        return _nullspace_report(build_moment_matrix(d, discs), d, config)
+
+    if d == 0:
+        # no negative-degree rows exist at degree 0: constants are holomorphic
+        null, basis = np.zeros((0, 0)), _reduced_basis(0)
+        report = KernelReport(1, 1, 0.0, np.array([]), float("inf"), null, basis, config)
+    else:
+        report = run(discs_per_point)
+        if check_stability:
+            doubled = run(2 * discs_per_point)
+            if doubled.kernel_dimension != report.kernel_dimension:
+                raise DegenerateSample(
+                    "kernel dimension not stable under doubling the disc count "
+                    f"(discs per point: {discs_per_point} gives kernel dimension "
+                    f"{report.kernel_dimension}, {2 * discs_per_point} gives "
+                    f"{doubled.kernel_dimension})"
+                )
+    if len(points) > 1:
+        return report
+    if points[0].norm() >= 1e-14:
         return replace(report, max_principal_angle=None)
     angle = _max_angle_to_coordinate_span(report, predicted_one_point_kernel(d))
     return replace(report, max_principal_angle=angle)

@@ -40,7 +40,6 @@ from disctrace.moments import extension_value
 from disctrace.verification import (
     extension_consistency,
     kernel_experiment,
-    one_point_control,
     predicted_one_point_kernel,
 )
 from oracles import (
@@ -90,7 +89,7 @@ def test_criterion_1_three_point_kernel(main_experiment, capsys):
 
 
 def test_criterion_2_one_point_insufficiency(capsys):
-    ctl = one_point_control(P1, d=4, n=60, seed=7)
+    ctl = kernel_experiment(P1, d=4, discs_per_point=60, seed=7, check_stability=False)
     ok = (
         ctl.kernel_dimension == 32
         and len(predicted_one_point_kernel(4)) == 32

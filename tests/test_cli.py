@@ -60,6 +60,35 @@ class TestKernelCommand:
         assert doc["kernel_dimension"] == 6
         assert doc["schema"] == "v1"
 
+    def test_origin_alone_fails_with_the_predicted_kernel(self, capsys):
+        # one point does not suffice: at the origin the kernel is the span of
+        # the 32 monomials with |alpha| >= |beta|, at an L2 angle of 2.45e-15
+        rc = main(["kernel", "--points", "0,0", "--degree", "4", "--discs", "60",
+                   "--seed", "7", "--json-only"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel_dimension"] == 32
+        assert doc["max_principal_angle"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "points", [["0.5,0"], ["0.5,0", "0,0.5"]], ids=["one", "two"]
+    )
+    def test_one_or_two_points_pass_on_polynomials(self, points, capsys):
+        rc = main(["kernel", "--points", *points, "--degree", "4", "--discs", "60",
+                   "--seed", "7", "--json-only"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel_dimension"] == doc["holomorphic_dimension"] == 15
+        # a single point off the origin has no predicted span to measure
+        assert (doc["max_principal_angle"] is None) == (len(points) == 1)
+
+    def test_points_without_a_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--points", "--degree", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--points" in err and "Traceback" not in err
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -354,16 +383,20 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "lemma_suite", fail)
 
     def test_kernel_disc_limit_is_the_1_gib_matrix(self):
-        # the doubled run's complex staircase: 3 points, 2n discs, one entry
-        # per monomial and negative degree k <= |beta|; below degree 5 the
-        # 100,000 cap is the smaller one
-        assert cli._kernel_disc_limit(4) == 100_000
-        for d in range(5, MAX_DEGREE + 1):
-            limit = cli._kernel_disc_limit(d)
-            stored = sum(k[2] + k[3] for k in reduced_basis(d))
-            per_disc = 16 * 3 * 2 * stored
-            assert limit * per_disc <= 2**30 < (limit + 1) * per_disc
-        assert cli._kernel_disc_limit(12) == 2997
+        # the doubled run's complex staircase: 2n discs per point, one entry
+        # per monomial and negative degree k <= |beta|; for three points the
+        # 100,000 cap is the smaller one below degree 5
+        assert cli._kernel_disc_limit(4, 3) == 100_000
+        for points in (1, 3, 5):
+            for d in range(1, MAX_DEGREE + 1):
+                limit = cli._kernel_disc_limit(d, points)
+                stored = sum(k[2] + k[3] for k in reduced_basis(d))
+                per_disc = 16 * points * 2 * stored
+                if limit < 100_000:
+                    assert limit * per_disc <= 2**30 < (limit + 1) * per_disc
+                else:
+                    assert limit == 100_000 and limit * per_disc <= 2**30
+        assert cli._kernel_disc_limit(12, 3) == 2997
 
     @pytest.mark.parametrize(
         "degree,discs", [("12", "2998"), ("12", "100000"), ("1", "100001")]

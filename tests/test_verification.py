@@ -22,9 +22,7 @@ from disctrace.lemmas import (
 from disctrace.verification import (
     build_moment_matrix,
     extension_consistency,
-    family_experiment,
     kernel_experiment,
-    one_point_control,
     predicted_one_point_kernel,
     sample_disc_family,
 )
@@ -165,10 +163,12 @@ class TestMomentMatrix:
             raise AssertionError("the dense M_nh was built")
 
         monkeypatch.setattr(verification.MomentMatrix, "matrix", property(fail))
-        report = family_experiment((P1, P2, P3), 4, 60, seed=7)
+        report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7,
+                                   check_stability=False)
         assert report.kernel_dimension == 15
         # the rank-short origin control also takes null vectors from R
-        control = one_point_control(P1, d=4, n=60, seed=7)
+        control = kernel_experiment(P1, d=4, discs_per_point=60, seed=7,
+                                    check_stability=False)
         assert control.kernel_dimension == 32
 
     def test_holomorphic_columns_vanish(self):
@@ -223,10 +223,12 @@ class TestMomentMatrix:
         # carried rows, and allocates R once the staircase is used up, so
         # the whole experiment peaks below the two together (it read 22.7 MB
         # when R was allocated first and each stage kept its QR output)
-        family_experiment((P1, P2, P3), 12, 50, seed=7)  # warm the caches
+        kernel_experiment(P1, P2, P3, d=12, discs_per_point=50, seed=7,
+                          check_stability=False)  # warm the caches
         tracemalloc.start()
         try:
-            family_experiment((P1, P2, P3), 12, 50, seed=7)
+            kernel_experiment(P1, P2, P3, d=12, discs_per_point=50, seed=7,
+                              check_stability=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,6 +302,12 @@ class TestKernelExperiment:
             "(discs per point: 1 gives kernel dimension 8, 2 gives 6)"
         )
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_no_points_rejected(self, d):
+        # the degree-0 report needs no sampling, so it must not skip this check
+        with pytest.raises(ValueError, match="^need at least one point$"):
+            kernel_experiment(d=d, discs_per_point=5)
+
     def test_degree_zero(self):
         report = kernel_experiment(P1, P2, P3, d=0, discs_per_point=5)
         assert report.kernel_dimension == 1
@@ -350,8 +358,10 @@ class TestKernelExperiment:
     def test_report_arrays_own_their_entries(self):
         # callers keep reports, so no array a report holds may be a view
         # into a larger one, such as R or the SVD's factors
-        full = family_experiment((P1, P2, P3), 4, 60, seed=7)
-        short = one_point_control(P1, d=4, n=60, seed=7)
+        full = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7,
+                                 check_stability=False)
+        short = kernel_experiment(P1, d=4, discs_per_point=60, seed=7,
+                                  check_stability=False)
         assert full.null_vectors.shape[1] == 0 < short.null_vectors.shape[1]
         for report in (full, short):
             for value in vars(report).values():
@@ -359,11 +369,17 @@ class TestKernelExperiment:
                     assert value.base is None or value.base.size == value.size
 
     def test_reports_share_one_basis(self):
-        r1 = family_experiment((P1, P2, P3), 4, 30, seed=7)
-        r2 = one_point_control(P2, d=4, n=30, seed=3)
+        r1 = kernel_experiment(P1, P2, P3, d=4, discs_per_point=30, seed=7,
+                               check_stability=False)
+        r2 = kernel_experiment(P2, d=4, discs_per_point=30, seed=3,
+                               check_stability=False)
         assert r1.basis is r2.basis
         assert isinstance(r1.basis, tuple) and r1.basis == tuple(reduced_basis(4))
-        zero = (family_experiment((P1, P2, P3), 0, 5), kernel_experiment(P1, P2, P3, 0, 5))
+        zero = (
+            kernel_experiment(P1, P2, P3, d=0, discs_per_point=5,
+                              check_stability=False),
+            kernel_experiment(P1, P2, P3, d=0, discs_per_point=5),
+        )
         assert zero[0].basis is zero[1].basis == ((0, 0, 0, 0),)
 
     def test_kept_reports_retain_no_basis(self):
@@ -371,10 +387,15 @@ class TestKernelExperiment:
         # 26 KB; now it holds the shared tuple, so what it retains is its
         # 285 singular values plus under 2 KB
         scene = (P1, P2, P3)
-        family_experiment(scene, 8, 30, seed=7)  # warm the caches
+        kernel_experiment(*scene, d=8, discs_per_point=30, seed=7,
+                          check_stability=False)  # warm the caches
         tracemalloc.start()
         try:
-            kept = [family_experiment(scene, 8, 30, seed=7 + i) for i in range(20)]
+            kept = [
+                kernel_experiment(*scene, d=8, discs_per_point=30, seed=7 + i,
+                                  check_stability=False)
+                for i in range(20)
+            ]
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -390,7 +411,8 @@ class TestKernelExperiment:
         widths = np.diff([40 - b.shape[1] for b in M.blocks] + [40])
         assert list(widths) == [14, 12, 9, 5]
         s = dense_singular_values(M.matrix)
-        report = family_experiment((P1, P2, P3), 4, 1, seed=7)
+        report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=1, seed=7,
+                                   check_stability=False)
         assert report.kernel_dimension == 55 - 12
         values = report.singular_values[: len(s)]
         assert np.max(np.abs(values - s)) <= 1e-13 * s[0]
@@ -412,7 +434,8 @@ class TestKernelExperiment:
     def _check_kernel_basis(P, n):
         """The rank-short one-point control at d = 3 has null vectors, and
         its kernel basis is orthonormal and annihilated by the moment matrix."""
-        report = one_point_control(P, d=3, n=n, seed=7)
+        report = kernel_experiment(P, d=3, discs_per_point=n, seed=7,
+                                   check_stability=False)
         assert report.null_vectors.shape[1] > 0
         K = report.kernel_basis
         assert K.shape == (len(report.basis), report.kernel_dimension)
@@ -471,7 +494,8 @@ class TestKernelExperiment:
 
 class TestOnePointControl:
     def test_origin_control(self, gram_calls):
-        report = one_point_control(P1, d=4, n=60, seed=7)
+        report = kernel_experiment(P1, d=4, discs_per_point=60, seed=7,
+                                   check_stability=False)
         assert report.kernel_dimension == 32
         assert len(predicted_one_point_kernel(4)) == 32
         assert report.max_principal_angle < 1e-8
@@ -497,23 +521,25 @@ class TestOnePointControl:
         assert set(holomorphic_basis(4)) <= set(pred)
 
     def test_degree_zero(self):
-        report = one_point_control(P1, d=0, n=5)
+        report = kernel_experiment(P1, d=0, discs_per_point=5, check_stability=False)
         assert report.kernel_dimension == 1
         assert len(predicted_one_point_kernel(0)) == 1
         assert report.max_principal_angle == 0.0
         # off the origin there is no prediction, and no angle, at every degree
-        report = one_point_control(P2, d=0, n=5)
+        report = kernel_experiment(P2, d=0, discs_per_point=5, check_stability=False)
         assert report.kernel_dimension == 1
         assert report.max_principal_angle is None
 
     def test_exterior_rejected(self):
         with pytest.raises(ValueError):
-            one_point_control(Complex2(0.0, 1.5), d=2, n=5)
+            kernel_experiment(Complex2(0.0, 1.5), d=2, discs_per_point=5,
+                              check_stability=False)
 
 
 class TestTwoPointProbe:
     def test_contains_holomorphic_span(self):
-        report = family_experiment((P1, P2), d=3, n=25, seed=1)
+        report = kernel_experiment(P1, P2, d=3, discs_per_point=25, seed=1,
+                                   check_stability=False)
         assert report.kernel_dimension >= len(holomorphic_basis(3))
         assert report.max_principal_angle < 1e-8
 
@@ -521,7 +547,8 @@ class TestTwoPointProbe:
     def test_rank_short_angle_is_zero_by_construction(self, d, n, dim, gram_calls):
         # null vectors exist, yet the kernel holds the holomorphic coordinate
         # directions by construction: the angle is reported without a Gram matrix
-        report = family_experiment((Complex2(0.1, 0.05j), P2), d=d, n=n, seed=7)
+        report = kernel_experiment(Complex2(0.1, 0.05j), P2, d=d, discs_per_point=n,
+                                   seed=7, check_stability=False)
         assert report.kernel_dimension == dim
         assert report.null_vectors.shape[1] > 0
         assert report.max_principal_angle == 0.0
@@ -541,11 +568,13 @@ class TestTwoPointProbe:
         with pytest.raises(
             CollinearPoints, match=f"^the {len(points)} points lie on one complex line$"
         ):
-            family_experiment(points, d=3, n=20, seed=7)
+            kernel_experiment(*points, d=3, discs_per_point=20, seed=7,
+                              check_stability=False)
 
     def test_one_point_off_the_line_passes(self):
         points = (P1, P2, Complex2(-0.5, 0), Complex2(0.25, 0.3))
-        report = family_experiment(points, d=3, n=20, seed=7)
+        report = kernel_experiment(*points, d=3, discs_per_point=20, seed=7,
+                                   check_stability=False)
         assert report.kernel_dimension == report.expected_holomorphic_dimension
 
     def test_distinct_points_required(self):
@@ -553,16 +582,19 @@ class TestTwoPointProbe:
         # on one complex line: the error names the coincidence
         for points in [(P2, P2), (P1, P2, P1), (P1, P2, P2)]:
             with pytest.raises(CollinearPoints, match="^points must be pairwise distinct$"):
-                family_experiment(points, d=2, n=5)
+                kernel_experiment(*points, d=2, discs_per_point=5,
+                                  check_stability=False)
 
     def test_degree_zero(self):
-        report = family_experiment((P1, P2), d=0, n=5)
+        report = kernel_experiment(P1, P2, d=0, discs_per_point=5,
+                                   check_stability=False)
         assert report.kernel_dimension == 1
         assert report.max_principal_angle == 0.0
 
     def test_exterior_rejected(self):
         with pytest.raises(ValueError):
-            family_experiment((P1, Complex2(1.5, 0)), d=2, n=5)
+            kernel_experiment(P1, Complex2(1.5, 0), d=2, discs_per_point=5,
+                              check_stability=False)
 
 
 class TestExtensionConsistency:
