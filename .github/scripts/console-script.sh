@@ -44,14 +44,22 @@ expect 0 disctrace test --function "$holo" --point 0.3,0.2
 expect 0 disctrace extend --function "$holo" --points 0,0 0.5,0 0,0.5 --at 0.2,0.1
 expect 1 disctrace test --function "$z2sq" --point 0.3,0.2
 expect 1 disctrace extend --function "$z2sq" --points 0,0 0.5,0 0,0.5 --at 0.2,0.1
+# extend takes two or more points in general position
+for points in "0.5,0 0,0.5" "0,0 0.5,0 0,0.5 -0.3,0.1"; do
+  expect 0 disctrace extend --function "$holo" --points $points --at 0.2,0.1
+  expect 1 disctrace extend --function "$z2sq" --points $points --at 0.2,0.1
+done
 # unreadable or unwritable paths, a coordinate too large to square,
-# repeated extend points and an --at point too near the sphere or
-# too near one of the points are usage errors
+# a single extend point (no second disc to compare against), repeated or
+# collinear extend points and an --at point too near the sphere or too
+# near one of the points are usage errors
 expect 2 disctrace test --function "$tmp" --point 0.3,0.2
 expect 2 disctrace lemmas --out "$tmp/missing/r.json"
 expect 2 disctrace lemmas --out "$holo/r.json"
 expect 2 disctrace test --function "$holo" --point 1e200,0
+expect 2 disctrace extend --function "$holo" --points 0.5,0 --at 0.2,0.1
 expect 2 disctrace extend --function "$holo" --points 0,0 0,0 0.5,0 --at 0.2,0.1
+expect 2 disctrace extend --function "$holo" --points 0,0 0.5,0 -0.5,0 0.25,0 --at 0.2,0.1
 expect 2 disctrace extend --function "$holo" --points 0,0 0.5,0 0,0.5 --at 0,0.9999999999999999
 expect 2 disctrace extend --function "$holo" --points 0,0 0.5,0 0,0.5 --at 1e-200,0
 exit "$fail"

@@ -35,6 +35,7 @@ from .verification import (
     build_moment_matrix,
     extension_consistency,
     kernel_experiment,
+    sample_disc_families,
     sample_disc_family,
 )
 
@@ -66,5 +67,6 @@ __all__ = [
     "lift",
     "lifted_value",
     "reduced_basis",
+    "sample_disc_families",
     "sample_disc_family",
 ]

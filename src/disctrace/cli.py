@@ -21,9 +21,9 @@ from .geometry import Complex2
 from .lemmas import lemma_suite
 from .moments import extendibility_test, within_moment_bound
 from .verification import (
-    _assert_general_position,
     extension_consistency,
     kernel_experiment,
+    sample_disc_families,
     sample_disc_family,
 )
 
@@ -189,17 +189,20 @@ def cmd_lemmas(args) -> int:
 def cmd_extend(args) -> int:
     _check_discs(args.discs)
     f = _load_function(args.function)
+    if len(args.points) < 2:
+        # one disc family has no second disc through --at to compare with
+        raise UsageError("extend needs two or more --points: one does not suffice")
     points = [parse_interior_point(t) for t in args.points]
     z = parse_interior_point(args.at)
     if z.norm() ** 2 >= 1.0 - LINE_MARGIN:
         raise UsageError(f"--at {args.at!r} must satisfy |z|^2 < 1 - {LINE_MARGIN:g}")
-    _assert_general_position(points)
+    families = sample_disc_families(points, args.discs, args.seed)
     if z in points:
         raise UsageError("--at must differ from each of --points")
     # membership in the joint kernel at the function's own degree: f must
-    # extend along every sampled disc through each of the three points
-    for j, P in enumerate(points):
-        for disc in sample_disc_family(P, args.discs, args.seed + j):
+    # extend along every sampled disc through each of the points
+    for P, family in zip(points, families):
+        for disc in family:
             rep = extendibility_test(f, disc)
             if not rep.verdict:
                 print(
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extend", help="extension value with consistency check")
     e.add_argument("--function", required=True)
-    e.add_argument("--points", nargs=3, required=True)
+    e.add_argument("--points", nargs="+", required=True)
     e.add_argument("--at", required=True)
     e.add_argument("--discs", type=int, default=30)
     e.add_argument("--seed", type=int, default=0)

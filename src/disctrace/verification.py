@@ -288,10 +288,15 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     return KernelReport(hdim + ncols - rank, hdim, 0.0, svals, gap, null, basis, config)
 
 
-def _assert_general_position(points) -> None:
-    """Pairwise distinct points and, from three points on, not all of them
-    on one complex line: some offset from the first point is at least
+def _check_points(points) -> None:
+    """At least one point (ValueError), all of them interior (ValueError),
+    pairwise distinct and, from three points on, not all on one complex
+    line (CollinearPoints): some offset from the first point is at least
     1e-10 off the complex span of the first offset."""
+    if not points:
+        raise ValueError("need at least one point")
+    if any(p.norm() >= 1.0 for p in points):
+        raise ValueError("points must be interior")
     if any((p - q).norm() == 0 for i, p in enumerate(points) for q in points[:i]):
         raise CollinearPoints("points must be pairwise distinct")
     if len(points) < 3:
@@ -303,6 +308,15 @@ def _assert_general_position(points) -> None:
             return
     count = "three" if len(points) == 3 else len(points)
     raise CollinearPoints(f"the {count} points lie on one complex line")
+
+
+def sample_disc_families(points, n: int, seed: int) -> list[list[StraightDisc]]:
+    """One disc family per point: family j is sample_disc_family(points[j],
+    n, seed + j).  The points must be one or more interior points (ValueError
+    otherwise), pairwise distinct and, from three on, not all on one complex
+    line (CollinearPoints otherwise)."""
+    _check_points(points)
+    return [sample_disc_family(P, n, seed + j) for j, P in enumerate(points)]
 
 
 def predicted_one_point_kernel(d: int) -> list[tuple[int, int, int, int]]:
@@ -318,21 +332,14 @@ def kernel_experiment(
     seed: int = 0,
     check_stability: bool = True,
 ) -> KernelReport:
-    """Nullspace experiment for the disc families through one or more
-    interior points (ValueError otherwise) in general position
-    (CollinearPoints otherwise, see _assert_general_position),
-    discs_per_point discs each, family j sampled with seed + j.  For three
-    non-collinear points the kernel must be exactly the holomorphic trace
-    span of degree <= d.  Degree 0 gets its own report: kernel 1, spectral
-    gap inf.  check_stability requires the same kernel dimension at twice
-    the discs.  For one point, max_principal_angle is the largest L2
-    principal angle between the kernel and the span of
+    """Nullspace experiment for the disc families of sample_disc_families
+    through one or more points, checked as there, discs_per_point discs
+    each.  For three non-collinear points the kernel must be exactly the
+    holomorphic trace span of degree <= d.  Degree 0 gets its own report:
+    kernel 1, spectral gap inf.  check_stability requires the same kernel
+    dimension at twice the discs.  For one point, max_principal_angle is the
+    largest L2 principal angle between the kernel and the span of
     predicted_one_point_kernel(d) at the origin, and None elsewhere."""
-    if not points:
-        raise ValueError("need at least one point")
-    if any(p.norm() >= 1.0 for p in points):
-        raise ValueError("points must be interior")
-    _assert_general_position(points)
     config = {
         "points": [[p.z1.real, p.z1.imag, p.z2.real, p.z2.imag] for p in points],
         "degree": d,
@@ -341,13 +348,14 @@ def kernel_experiment(
     }
 
     def run(n: int) -> KernelReport:
-        discs = []
-        for j, P in enumerate(points):
-            discs.extend(sample_disc_family(P, n, seed + j))
+        families = sample_disc_families(points, n, seed)
+        discs = [disc for family in families for disc in family]
         return _nullspace_report(build_moment_matrix(d, discs), d, config)
 
     if d == 0:
-        # no negative-degree rows exist at degree 0: constants are holomorphic
+        # no negative-degree rows exist at degree 0: constants are holomorphic,
+        # so nothing is sampled and the points are checked here
+        _check_points(points)
         null, basis = np.zeros((0, 0)), _reduced_basis(0)
         report = KernelReport(1, 1, 0.0, np.array([]), float("inf"), null, basis, config)
     else:
@@ -370,22 +378,20 @@ def kernel_experiment(
 
 
 def extension_consistency(
-    f: HermitianPolynomial,
-    P1: Complex2,
-    P2: Complex2,
-    P3: Complex2,
-    z: Complex2,
+    f: HermitianPolynomial, *points: Complex2, z: Complex2
 ) -> tuple[complex, float]:
     """The in-disc extension value of f at z along the disc joining z to
-    P1, and the max pairwise discrepancy of the values along the discs
-    joining z to each of the three family centers.  Small discrepancy
-    certifies that the glued lifted function descends to a function of the
-    base point alone."""
+    the first point, and the max pairwise discrepancy of the values along
+    the discs joining z to each of two or more points (ValueError for
+    fewer: one point leaves no second disc to compare against).  Small
+    discrepancy certifies that the glued lifted function descends to a
+    function of the base point alone."""
+    if len(points) < 2:
+        raise ValueError("need at least two points")
     values = []
-    for P in (P1, P2, P3):
+    for P in points:
         disc, tau_z, _ = disc_through_two_points(z, P)
         values.append(extension_value(f, disc, tau_z))
     return values[0], max(
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
     )
-

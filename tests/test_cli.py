@@ -199,6 +199,20 @@ class TestExtendCommand:
         assert main(["extend", "--function", holomorphic_file, "--points",
                      *SCENE, "--at", "2,0"]) == 2
 
+    @pytest.mark.parametrize(
+        "points", [["0.5,0", "0,0.5"], [*SCENE, "-0.3,0.1"]], ids=["two", "four"]
+    )
+    def test_two_or_more_points(self, points, holomorphic_file, mixed_file, capsys):
+        argv = ["--points", *points, "--at", "0.2,0.1", "--discs", "10", "--seed", "1"]
+        assert main(["extend", "--function", holomorphic_file, *argv]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        value = complex(*map(float, out[0].split(",")[1:]))
+        # z1^2 z2 + 0.5 at (0.2, 0.1), within the moment bound over its terms
+        assert abs(value - (0.2**2 * 0.1 + 0.5)) <= 1e-10 * 1.5
+        assert float(out[1].split(",")[1]) < 1e-8
+        assert main(["extend", "--function", mixed_file, *argv]) == 1
+        assert "not extendible" in capsys.readouterr().err
+
     def test_extension_failure_after_membership(
         self, holomorphic_file, monkeypatch, capsys
     ):
@@ -367,6 +381,25 @@ class TestUsageErrors:
              "--discs", "4"], capsys,
         )
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            (["0.5,0"], "extend needs two or more --points: one does not suffice"),
+            (["0,0", "0.5,0", "-0.5,0", "0.25,0"], "the 4 points lie on one complex line"),
+        ],
+        ids=["one", "four-collinear"],
+    )
+    def test_extend_points_refused(self, points, message, holomorphic_file, capsys):
+        # one disc family leaves no second disc through --at to compare with
+        assert main(["extend", "--function", holomorphic_file, "--points", *points,
+                     "--at", "0.2,0.1", "--discs", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_extend_point_count_before_at(self, holomorphic_file, capsys):
+        assert main(["extend", "--function", holomorphic_file, "--points", "0.5,0",
+                     "--at", "2,0", "--discs", "4"]) == 2
+        assert "one does not suffice" in capsys.readouterr().err
+
     def test_extend_zero_discs(self, holomorphic_file, capsys):
         self.assert_usage_error(
             ["extend", "--function", holomorphic_file, "--points", *SCENE,
@@ -379,6 +412,7 @@ class TestUsageErrors:
             raise AssertionError("ran before the argument checks")
 
         monkeypatch.setattr(cli, "sample_disc_family", fail)
+        monkeypatch.setattr(cli, "sample_disc_families", fail)
         monkeypatch.setattr(cli, "kernel_experiment", fail)
         monkeypatch.setattr(cli, "lemma_suite", fail)
 

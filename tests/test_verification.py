@@ -10,7 +10,7 @@ from disctrace.boundary import (
     reduced_basis,
 )
 from disctrace.discs import disc_from_line
-from disctrace.errors import CollinearPoints, DegenerateSample
+from disctrace.errors import CollinearPoints, DegenerateSample, NotExtendible
 from disctrace.geometry import Complex2
 from disctrace import lemmas, verification
 from disctrace.lemmas import (
@@ -24,10 +24,12 @@ from disctrace.verification import (
     extension_consistency,
     kernel_experiment,
     predicted_one_point_kernel,
+    sample_disc_families,
     sample_disc_family,
 )
 from oracles import (
     dense_singular_values,
+    evaluate,
     holomorphic_basis,
     holomorphic_defect,
     kernel_polynomials,
@@ -37,6 +39,8 @@ from oracles import (
 P1 = Complex2(0.0, 0.0)
 P2 = Complex2(0.5, 0.0)
 P3 = Complex2(0.0, 0.5)
+# two, three and four points in general position
+POINT_SETS = {2: (P2, P3), 3: (P1, P2, P3), 4: (P1, P2, P3, Complex2(-0.3, 0.2j))}
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,39 @@ class TestSampling:
             sample_disc_family(P2, 5, seed=-1)
         with pytest.raises(TypeError):
             sample_disc_family(P2, 5, seed=1.5)
+
+
+class TestSampleDiscFamilies:
+    @pytest.mark.parametrize("points", [(P2,), *POINT_SETS.values()], ids=len)
+    def test_family_j_is_sampled_at_seed_plus_j(self, points):
+        families = sample_disc_families(points, 7, seed=4)
+        assert len(families) == len(points)
+        for j, (P, family) in enumerate(zip(points, families)):
+            expected = sample_disc_family(P, 7, 4 + j)
+            assert len(family) == len(expected) == 7
+            for got, want in zip(family, expected):
+                assert np.array_equal(got.a.as_array(), want.a.as_array())
+                assert np.array_equal(got.b.as_array(), want.b.as_array())
+
+    @pytest.mark.parametrize(
+        "points,error,message",
+        [
+            ((), ValueError, "^need at least one point$"),
+            ((P1, Complex2(1.5, 0)), ValueError, "^points must be interior$"),
+            ((P1, P2, P1), CollinearPoints, "^points must be pairwise distinct$"),
+            ((P1, P2, Complex2(0.7, 0)), CollinearPoints,
+             "^the three points lie on one complex line$"),
+            ((P1, P2, Complex2(-0.5, 0), Complex2(0.25, 0)), CollinearPoints,
+             "^the 4 points lie on one complex line$"),
+        ],
+        ids=["empty", "exterior", "repeated", "collinear-three", "collinear-four"],
+    )
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_rejects_what_kernel_experiment_rejects(self, points, error, message, d):
+        with pytest.raises(error, match=message):
+            sample_disc_families(points, 5, seed=0)
+        with pytest.raises(error, match=message):
+            kernel_experiment(*points, d=d, discs_per_point=5)
 
 
 class TestMomentMatrix:
@@ -597,12 +634,55 @@ class TestTwoPointProbe:
                               check_stability=False)
 
 
+def holomorphic_value(f: HermitianPolynomial, z: Complex2) -> complex:
+    """f(z) for a holomorphic f at an interior z != 0, from oracles.evaluate
+    at the sphere point z/|z|: the degree-m part of f scales by |z|^m."""
+    r = z.norm()
+    parts = {}
+    for k, c in f.terms.items():
+        parts.setdefault(sum(k), {})[k] = c
+    u = Complex2(z.z1 / r, z.z2 / r)
+    return sum(r**m * evaluate(HermitianPolynomial(t), u) for m, t in parts.items())
+
+
 class TestExtensionConsistency:
+    HOLOMORPHIC = HermitianPolynomial(
+        {(2, 1, 0, 0): 1.0, (0, 0, 0, 0): 0.5, (0, 3, 0, 0): -0.3j, (1, 0, 0, 0): 2.0}
+    )
+    Z = Complex2(0.1 + 0.05j, 0.2 - 0.1j)
+
     def test_holomorphic_trivial(self):
         f = HermitianPolynomial.monomial((2, 1), (0, 0))
-        value, discrepancy = extension_consistency(f, P1, P2, P3, Complex2(0.1, 0.2))
+        value, discrepancy = extension_consistency(f, P1, P2, P3, z=Complex2(0.1, 0.2))
         assert value == pytest.approx(0.1**2 * 0.2, abs=1e-15)
         assert discrepancy < 1e-12
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("trace", [False, True], ids=["holomorphic", "times-norm"])
+    def test_value_and_discrepancy(self, count, trace):
+        # times-norm: f (|z1|^2 + |z2|^2) equals f on the sphere, so its
+        # extension into every disc is f itself
+        f = self.HOLOMORPHIC
+        g = HermitianPolynomial({
+            (a1 + e1, a2 + e2, e1, e2): c
+            for (a1, a2, _, _), c in f.terms.items() for e1, e2 in ((1, 0), (0, 1))
+        }) if trace else f
+        value, discrepancy = extension_consistency(g, *POINT_SETS[count], z=self.Z)
+        bound = 1e-10 * (1 + sum(abs(c) for c in g.terms.values()))
+        assert abs(value - holomorphic_value(f, self.Z)) <= bound
+        assert discrepancy < 1e-8
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_non_extendible(self, count):
+        f = HermitianPolynomial.monomial((0, 1), (0, 1))  # |z2|^2
+        with pytest.raises(NotExtendible):
+            extension_consistency(f, *POINT_SETS[count], z=self.Z)
+
+    @pytest.mark.parametrize("points", [(), (P2,)], ids=["none", "one"])
+    def test_needs_two_points(self, points):
+        # one point leaves no second disc to compare against
+        with pytest.raises(ValueError, match="^need at least two points$"):
+            extension_consistency(self.HOLOMORPHIC, *points, z=self.Z)
 
     def test_kernel_elements(self, main_report):
         rng = np.random.default_rng(0)
@@ -614,7 +694,7 @@ class TestExtensionConsistency:
                 f = f + float(c) * p
             z = Complex2(complex(*rng.uniform(-0.3, 0.3, 2)),
                          complex(*rng.uniform(-0.3, 0.3, 2)))
-            assert extension_consistency(f, P1, P2, P3, z)[1] < 1e-8
+            assert extension_consistency(f, P1, P2, P3, z=z)[1] < 1e-8
 
 
 def broadcast_min_distance(d1, d2, P, n_tau=48, radius=1e-3):
