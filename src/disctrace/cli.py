@@ -20,12 +20,7 @@ from .errors import CollinearPoints, DiscTraceError, NotExtendible
 from .geometry import Complex2
 from .lemmas import lemma_suite
 from .moments import extendibility_test, within_moment_bound
-from .verification import (
-    extension_consistency,
-    kernel_experiment,
-    sample_disc_families,
-    sample_disc_family,
-)
+from .verification import extension_consistency, kernel_experiment, sample_disc_families
 
 # a disc family holds one Python object per disc; the kernel command's
 # stability run also stores the |beta| staircase of M_nh: for 2n discs per
@@ -76,9 +71,7 @@ def parse_point(text: str) -> Complex2:
 def parse_interior_point(text: str) -> Complex2:
     """parse_point, rejecting points outside the open unit ball."""
     p = parse_point(text)
-    # each part is tested first: the norm squares them, overflowing above 1.3e154
-    parts = (p.z1.real, p.z1.imag, p.z2.real, p.z2.imag)
-    if any(abs(x) >= 1.0 for x in parts) or p.norm() >= 1.0:
+    if p.norm() >= 1.0:
         raise UsageError(f"point {text!r} must be interior (|P| < 1)")
     return p
 
@@ -168,7 +161,7 @@ def cmd_test(args) -> int:
     _check_discs(args.discs)
     f = _load_function(args.function)
     P = parse_interior_point(args.point)
-    discs = sample_disc_family(P, args.discs, args.seed)
+    (discs,) = sample_disc_families([P], args.discs, args.seed)
     all_pass = True
     print("disc_id,max_negative_modulus,verdict")
     for i, disc in enumerate(discs):
@@ -205,18 +198,11 @@ def cmd_extend(args) -> int:
         for disc in family:
             rep = extendibility_test(f, disc)
             if not rep.verdict:
-                print(
-                    "not extendible: max negative modulus "
-                    f"{rep.max_negative_modulus:.3e} along a disc through "
-                    f"{format_point(P)}",
-                    file=sys.stderr,
+                raise NotExtendible(
+                    f"max negative modulus {rep.max_negative_modulus:.3e} "
+                    f"along a disc through {format_point(P)}"
                 )
-                return 1
-    try:
-        value, discrepancy = extension_consistency(f, *points, z=z)
-    except NotExtendible as exc:
-        print(f"not extendible: {exc}", file=sys.stderr)
-        return 1
+    value, discrepancy = extension_consistency(f, *points, z=z)
     print(f"value,{value.real!r},{value.imag!r}")
     print(f"discrepancy,{discrepancy!r}")
     # the moment test's relative bound, over every term of f
@@ -231,41 +217,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func, report=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="report output path")
-        p.add_argument(
-            "--json-only",
-            action="store_true",
-            help="with --out, also print the report to stdout (without --out "
-            "it is always printed)",
-        )
+        if report:
+            p.add_argument("--out", default=None, help="report output path")
+            p.add_argument(
+                "--json-only",
+                action="store_true",
+                help="with --out, also print the report to stdout (without "
+                "--out it is always printed)",
+            )
+        p.set_defaults(func=func)
 
     k = sub.add_parser("kernel", help="nullspace experiment through one or more points")
     k.add_argument("--points", nargs="+", required=True)
     k.add_argument("--degree", type=int, default=4)
     k.add_argument("--discs", type=int, default=60)
-    common(k)
-    k.set_defaults(func=cmd_kernel)
+    common(k, cmd_kernel, report=True)
 
     t = sub.add_parser("test", help="per-disc moment test of a function file")
     t.add_argument("--function", required=True)
     t.add_argument("--point", required=True)
     t.add_argument("--discs", type=int, default=100)
-    t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(func=cmd_test)
+    common(t, cmd_test)
 
     le = sub.add_parser("lemmas", help="run the lemma-level numerical checks")
-    common(le)
-    le.set_defaults(func=cmd_lemmas)
+    common(le, cmd_lemmas, report=True)
 
     e = sub.add_parser("extend", help="extension value with consistency check")
     e.add_argument("--function", required=True)
     e.add_argument("--points", nargs="+", required=True)
     e.add_argument("--at", required=True)
     e.add_argument("--discs", type=int, default=30)
-    e.add_argument("--seed", type=int, default=0)
-    e.set_defaults(func=cmd_extend)
+    common(e, cmd_extend)
 
     return parser
 
@@ -281,6 +265,9 @@ def main(argv=None) -> int:
         # CollinearPoints: --points not in general position, or --at on one of them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotExtendible as exc:
+        print(f"not extendible: {exc}", file=sys.stderr)
+        return 1
     except DiscTraceError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CollinearPoints, LineMissesBall, NoSolution
-from .geometry import CP1Point, Complex2, _canonical_phase, hermitian_inner
+from .geometry import CP1Point, Complex2, _canonical_phase, _norm, _norm2, hermitian_inner
 
 _ORTHO_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
@@ -61,7 +61,7 @@ class StraightDisc:
         tau = self.parameter_of(p)
         d1 = p.z1 - (self.a.z1 + tau * self.b.z1)
         d2 = p.z2 - (self.a.z2 + tau * self.b.z2)
-        return math.sqrt(abs(d1) ** 2 + abs(d2) ** 2)
+        return _norm(d1, d2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +82,12 @@ def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:
     nv = v.norm()
     if nv == 0:
         raise ValueError("line direction is zero")
+    if nv > 1e150:  # nv**2 would overflow; v / nv spans the same line
+        v = Complex2(v.z1 / nv, v.z2 / nv)
+        nv = v.norm()
     t = hermitian_inner(p, v) / nv**2
     a1, a2 = p.z1 - t * v.z1, p.z2 - t * v.z2
-    na2 = abs(a1) ** 2 + abs(a2) ** 2
+    na2 = _norm2(a1, a2)
     if na2 >= 1.0 - LINE_MARGIN:
         raise LineMissesBall(f"line distance to origin {math.sqrt(na2):.6f}")
     u1, u2 = v.z1 / nv, v.z2 / nv

@@ -45,7 +45,25 @@ class Complex2:
         return np.array([self.z1, self.z2], dtype=complex)
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.z1) ** 2 + abs(self.z2) ** 2)
+        return _norm(self.z1, self.z2)
+
+
+def _norm2(z1: complex, z2: complex) -> float:
+    """|z1|^2 + |z2|^2, or inf where a square overflows."""
+    try:
+        return abs(z1) ** 2 + abs(z2) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _norm(z1: complex, z2: complex) -> float:
+    """sqrt(|z1|^2 + |z2|^2), and where that sum overflows, math.hypot of
+    the four real parts, which scales them and is inf only where the norm
+    itself is: never an OverflowError."""
+    n2 = _norm2(z1, z2)
+    if n2 < math.inf:
+        return math.sqrt(n2)
+    return math.hypot(z1.real, z1.imag, z2.real, z2.imag)
 
 
 def hermitian_inner(u: Complex2, v: Complex2) -> complex:

@@ -198,14 +198,14 @@ def _max_angle_to_coordinate_span(report: KernelReport, members) -> float:
     return float(np.arcsin(min(1.0, sine)))
 
 
-def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelReport:
-    """Kernel of the moment matrix at degree d: the holomorphic coordinate
-    span of reduced_basis(d) plus the nullspace of the block M_nh that
-    matrix holds.  The rank of M_nh sits at the largest ratio between
-    consecutive singular values of the row-normalized M_nh, floored at
-    eps * s_0 with the floor appended (Hansen, Rank-Deficient and Discrete
-    Ill-Posed Problems, 1998), so full rank is decided by s_min / floor and
-    no cutoff is set by the user.
+def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
+    """Kernel of the moment matrix at its degree d, the number of its
+    staircase blocks: the holomorphic coordinate span of reduced_basis(d)
+    plus the nullspace of the block M_nh that matrix holds.  The rank of
+    M_nh sits at the largest ratio between consecutive singular values of
+    the row-normalized M_nh, floored at eps * s_0 with the floor appended
+    (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998), so full
+    rank is decided by s_min / floor and no cutoff is set by the user.
 
     The singular values come from a square R with R^H R = A^H A, A the
     row-normalized M_nh, whose columns are sorted by |beta|.  A degree-k row
@@ -234,7 +234,7 @@ def _nullspace_report(matrix: MomentMatrix, d: int, config: dict) -> KernelRepor
     The kernel contains the holomorphic span by construction, so its angle
     to that span is reported as 0.0.  The report holds the shared basis
     tuple _reduced_basis(d) and no view of R."""
-    ncols = len(matrix.basis)
+    d, ncols = len(matrix.blocks), len(matrix.basis)
     nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
     starts = [ncols - block.shape[1] for block in matrix.blocks] + [ncols]
@@ -350,7 +350,7 @@ def kernel_experiment(
     def run(n: int) -> KernelReport:
         families = sample_disc_families(points, n, seed)
         discs = [disc for family in families for disc in family]
-        return _nullspace_report(build_moment_matrix(d, discs), d, config)
+        return _nullspace_report(build_moment_matrix(d, discs), config)
 
     if d == 0:
         # no negative-degree rows exist at degree 0: constants are holomorphic,

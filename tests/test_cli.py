@@ -411,7 +411,6 @@ class TestUsageErrors:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the argument checks")
 
-        monkeypatch.setattr(cli, "sample_disc_family", fail)
         monkeypatch.setattr(cli, "sample_disc_families", fail)
         monkeypatch.setattr(cli, "kernel_experiment", fail)
         monkeypatch.setattr(cli, "lemma_suite", fail)
@@ -580,3 +579,41 @@ class TestUsageErrors:
             ["extend", "--function", holomorphic_file, "--points", *points,
              "--at", "0.2,0.1", "--discs", "4"], capsys,
         )
+
+
+class TestDefaultRuns:
+    """Exit codes of whole commands at their default --discs and --seed,
+    with the function files of .github/scripts/console-script.sh, which
+    itself checks only what needs the installed command."""
+
+    FILES = {
+        "holo": '{"terms": [{"alpha": [2, 1], "beta": [0, 0], "re": 1.0, "im": 0.0}]}',
+        "z2sq": '{"terms": [{"alpha": [0, 1], "beta": [0, 1], "re": 1.0, "im": 0.0}]}',
+    }
+
+    @pytest.mark.parametrize(
+        "code, command",
+        [
+            # |z2|^2 does not extend along a generic disc
+            (1, "test --function z2sq --point 0.3,0.2"),
+            (1, "extend --function z2sq --points 0,0 0.5,0 0,0.5 --at 0.2,0.1"),
+            # extend takes two or more points in general position
+            (0, "extend --function holo --points 0.5,0 0,0.5 --at 0.2,0.1"),
+            (1, "extend --function z2sq --points 0.5,0 0,0.5 --at 0.2,0.1"),
+            (0, "extend --function holo --points 0,0 0.5,0 0,0.5 -0.3,0.1 --at 0.2,0.1"),
+            (1, "extend --function z2sq --points 0,0 0.5,0 0,0.5 -0.3,0.1 --at 0.2,0.1"),
+            # usage errors
+            (2, "test --function dir --point 0.3,0.2"),
+            (2, "extend --function holo --points 0.5,0 --at 0.2,0.1"),
+            (2, "extend --function holo --points 0,0 0,0 0.5,0 --at 0.2,0.1"),
+            (2, "extend --function holo --points 0,0 0.5,0 -0.5,0 0.25,0 --at 0.2,0.1"),
+            (2, "extend --function holo --points 0,0 0.5,0 0,0.5 --at 0,0.9999999999999999"),
+            (2, "extend --function holo --points 0,0 0.5,0 0,0.5 --at 1e-200,0"),
+        ],
+    )
+    def test_exit_code(self, code, command, tmp_path, capsys):
+        paths = {"dir": str(tmp_path)}
+        for name, text in self.FILES.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text + "\n")
+        assert main([paths.get(arg, arg) for arg in command.split()]) == code

@@ -105,6 +105,21 @@ class TestDiscFromLine:
         with pytest.raises(LineMissesBall):
             disc_from_line(Complex2(2.0, 0.0), Complex2(0.0, 1.0))
 
+    def test_huge_coordinates(self):
+        # |a|^2 and |v|^2 overflow above about 1.3e154 and used to raise
+        # OverflowError
+        with pytest.raises(LineMissesBall):
+            disc_from_line(Complex2(1e200, 1e200), Complex2(1, 0))
+        # a huge direction spans the same line as a unit one
+        p = Complex2(0.1, 0.2j)
+        big = disc_from_line(p, Complex2(1e200, 1e200j))
+        unit = disc_from_line(p, Complex2(1, 1j))
+        for got, want in [(big.a, unit.a), (big.b, unit.b)]:
+            assert np.allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-15)
+        # a base point far out on a line through the ball
+        far = disc_from_line(Complex2(1e200, 0.2j), Complex2(1, 0))
+        assert far.a == Complex2(0, 0.2j)
+
     @pytest.mark.parametrize("v1", [0.0, 1e-15, -0.54e-14 + 0.72e-14j, 1.1e-14j, 0.3 - 0.4j])
     def test_canonical_phase_matches_cp1(self, v1):
         # the first component of b above PHASE_EPS in modulus is real

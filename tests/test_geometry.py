@@ -1,8 +1,18 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from disctrace import (
+    HermitianPolynomial,
+    disc_from_lift_point,
+    extension_consistency,
+    kernel_experiment,
+    sample_disc_families,
+)
 from disctrace.geometry import (
     BallAutomorphism,
     CP1Point,
@@ -31,6 +41,28 @@ class TestComplex2:
 
     def test_norm(self):
         assert Complex2(3.0, 4.0).norm() == pytest.approx(5.0)
+
+    def test_norm_of_huge_coordinates(self):
+        # a square overflows above about 1.3e154 and used to raise
+        # OverflowError; the norm itself is inf only above the float range
+        assert Complex2(1e200, 0).norm() == 1e200
+        assert Complex2(1e200, 1e200j).norm() == pytest.approx(math.sqrt(2) * 1e200)
+        # each square is finite, their sum is not
+        assert Complex2(1.2e154, 1.2e154).norm() == pytest.approx(
+            math.sqrt(2) * 1.2e154
+        )
+        assert Complex2(1.7e308 + 1.7e308j, 0).norm() == math.inf
+
+    def test_norm_keeps_its_formula_below_the_overflow(self):
+        rng = random.Random(0)
+        for _ in range(10_000):
+            z1, z2 = (
+                complex(*(rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 149)
+                          for _ in range(2)))
+                for _ in range(2)
+            )
+            expected = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
+            assert Complex2(z1, z2).norm().hex() == expected.hex()
 
     def test_rejects_non_finite(self):
         # as Python floats and complex numbers and as numpy scalars
@@ -190,3 +222,30 @@ class TestBallAutomorphism:
     def test_rejects_center_off_the_ball(self, a):
         with pytest.raises(ValueError, match="interior"):
             BallAutomorphism(a, np.eye(2))
+
+
+HUGE = Complex2(1e200, 0)
+INTERIOR = (Complex2(0.5, 0), Complex2(0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernel_experiment(HUGE, d=2, discs_per_point=3),
+        lambda: kernel_experiment(*INTERIOR, HUGE, d=2, discs_per_point=3),
+        lambda: sample_disc_families([*INTERIOR, HUGE], 3, 0),
+        lambda: extension_consistency(
+            HermitianPolynomial({(2, 1, 0, 0): 1.0}), *INTERIOR, z=HUGE
+        ),
+        lambda: BallAutomorphism(HUGE, np.eye(2)),
+        lambda: apply_automorphism(BallAutomorphism(Complex2(0, 0), np.eye(2)), HUGE),
+        lambda: disc_from_lift_point(HUGE, CP1Point(1.0, 0.0)),
+    ],
+    ids=["kernel_experiment", "kernel_experiment-third", "sample_disc_families",
+         "extension_consistency", "BallAutomorphism", "apply_automorphism",
+         "disc_from_lift_point"],
+)
+def test_huge_coordinate_is_a_value_error(call):
+    # every point check used to square the coordinate and raise OverflowError
+    with pytest.raises(ValueError):
+        call()

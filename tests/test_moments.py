@@ -257,6 +257,9 @@ class TestLiftedValue:
         lp = lift(disc, 0.3)
         with pytest.raises(ValueError, match="does not pass through the family center"):
             lifted_value(f, Complex2(-0.5, 0.0), lp)
+        # a center too large to square used to raise OverflowError
+        with pytest.raises(ValueError, match="does not pass through the family center"):
+            lifted_value(f, Complex2(1e200, 0.0), lp)
 
 
 def _all_keys(d):
