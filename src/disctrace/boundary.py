@@ -14,19 +14,13 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
 
-MAX_DEGREE = 12
-
 # key: (alpha1, alpha2, beta1, beta2)
 MultiIndexPair = tuple[int, int, int, int]
-
-
-def _total_degree(k: MultiIndexPair) -> int:
-    return sum(k)
 
 
 @dataclass(frozen=True)
@@ -49,10 +43,6 @@ class HermitianPolynomial:
                 raise ValueError("multi-indices must have 4 entries")
             if any(i < 0 for i in k):
                 raise ValueError("multi-indices must be nonnegative")
-            if _total_degree(k) > MAX_DEGREE:
-                raise ValueError(
-                    f"monomial degree {_total_degree(k)} exceeds cap {MAX_DEGREE}"
-                )
             # np.isfinite raises TypeError for a str, which complex() would parse
             if not np.isfinite(c):
                 raise ValueError("coefficients must be finite")
@@ -63,7 +53,7 @@ class HermitianPolynomial:
 
     @property
     def degree(self) -> int:
-        return max((_total_degree(k) for k in self.terms), default=0)
+        return max((sum(k) for k in self.terms), default=0)
 
     @cached_property
     def nonholomorphic_terms(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -135,18 +125,12 @@ class HermitianPolynomial:
             return HermitianPolynomial.from_json_dict(json.load(fh))
 
 
-def reduced_basis(d: int) -> list[MultiIndexPair]:
+@cache
+def reduced_basis(d: int) -> tuple[MultiIndexPair, ...]:
     """All normal-form multi-index pairs of total degree <= d, sorted by
     |beta| and then lexicographically: the holomorphic monomials come first,
-    and those with |beta| >= k form a suffix for every k.  A fresh list,
-    which the caller may change; _reduced_basis(d) is the one shared tuple
-    that kernel reports hold."""
-    return list(_reduced_basis(d))
-
-
-@lru_cache(maxsize=MAX_DEGREE + 1)
-def _reduced_basis(d: int) -> tuple[MultiIndexPair, ...]:
-    """reduced_basis(d) as one immutable tuple per degree, built once."""
+    and those with |beta| >= k form a suffix for every k.  One immutable
+    tuple per degree, built once and shared by every caller."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     out = []

@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
+from .boundary import HermitianPolynomial, reduced_basis
 from .discs import LINE_MARGIN
 from .errors import CollinearPoints, DiscTraceError, NotExtendible
 from .geometry import Complex2
@@ -32,6 +32,8 @@ from .verification import extension_consistency, kernel_experiment, sample_disc_
 # is about 0.4 GB at the three-point degree-12 cap of n = 2997
 _MAX_DISCS = 100_000
 _MAX_MATRIX_BYTES = 2**30
+# the highest degree of --degree and of a function file's monomials
+MAX_DEGREE = 12
 
 
 class UsageError(Exception):
@@ -114,13 +116,19 @@ def _dump(doc: dict, path: str | None, to_stdout: bool) -> None:
 
 def _load_function(path: str) -> HermitianPolynomial:
     try:
-        return HermitianPolynomial.load(path)
+        f = HermitianPolynomial.load(path)
     except FileNotFoundError as exc:
         raise UsageError(f"function file not found: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read function file {path}: {exc.strerror}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed function file {path}: {exc}") from exc
+    if f.degree > MAX_DEGREE:
+        raise UsageError(
+            f"malformed function file {path}: "
+            f"monomial degree {f.degree} exceeds cap {MAX_DEGREE}"
+        )
+    return f
 
 
 def _check_degree(d: int) -> None:

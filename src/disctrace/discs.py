@@ -39,12 +39,15 @@ class StraightDisc:
     b: Complex2
 
     def __post_init__(self):
-        nb = self.b.norm()
-        if nb <= 0:
+        a, b = self.a, self.b
+        # _norm2 is inf where a square overflows: a ValueError below, not an
+        # OverflowError
+        nb2 = _norm2(b.z1, b.z2)
+        if nb2 <= 0:
             raise ValueError("disc direction must be nonzero")
-        if abs(hermitian_inner(self.a, self.b)) > _ORTHO_TOL:
+        if abs(hermitian_inner(a, b)) > _ORTHO_TOL:
             raise ValueError("foot point is not orthogonal to the direction")
-        if abs(self.a.norm() ** 2 + nb**2 - 1.0) > _ORTHO_TOL:
+        if abs(_norm2(a.z1, a.z2) + nb2 - 1.0) > _ORTHO_TOL:
             raise ValueError("|a|^2 + |b|^2 must be 1")
 
     def point(self, tau: complex) -> Complex2:
@@ -54,7 +57,7 @@ class StraightDisc:
         """tau with A(tau) closest to p (exact when p is on the line)."""
         a, b = self.a, self.b
         d = (p.z1 - a.z1) * b.z1.conjugate() + (p.z2 - a.z2) * b.z2.conjugate()
-        return d / (abs(b.z1) ** 2 + abs(b.z2) ** 2)
+        return d / _norm2(b.z1, b.z2)
 
     def line_distance(self, p: Complex2) -> float:
         """Hermitian distance from p to the full complex line of the disc."""
@@ -89,7 +92,7 @@ def disc_from_line(p: Complex2, v: Complex2) -> StraightDisc:
     a1, a2 = p.z1 - t * v.z1, p.z2 - t * v.z2
     na2 = _norm2(a1, a2)
     if na2 >= 1.0 - LINE_MARGIN:
-        raise LineMissesBall(f"line distance to origin {math.sqrt(na2):.6f}")
+        raise LineMissesBall(f"line distance to origin {_norm(a1, a2):.6f}")
     u1, u2 = v.z1 / nv, v.z2 / nv
     phase, nb = _canonical_phase(u1, u2), math.sqrt(1.0 - na2)
     return StraightDisc(Complex2(a1, a2), Complex2(u1 * phase * nb, u2 * phase * nb))
@@ -150,7 +153,7 @@ def disc_from_lift_point(z: Complex2, zeta: CP1Point):
     # cp1_distance, in its cross-product form, from the lift class
     # [tau0*conj(a) + conj(b)] of the recovered disc to the unit zeta
     w1, w2 = _lift_class(disc, tau0)
-    err = min(1.0, abs(w1 * zeta2 - w2 * zeta1) / Complex2(w1, w2).norm())
+    err = min(1.0, abs(w1 * zeta2 - w2 * zeta1) / _norm(w1, w2))
     if err >= 1e-10:
         raise NoSolution(
             f"no disc through ({z.z1}, {z.z2}) lifting to the given class "

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boundary import (
-    HermitianPolynomial,
-    _reduced_basis,
-    gram_matrix,
-    reduced_basis,
-)
+from .boundary import HermitianPolynomial, gram_matrix, reduced_basis
 from .discs import StraightDisc, disc_from_line, disc_through_two_points
 from .errors import CollinearPoints, DegenerateSample
 from .geometry import Complex2, hermitian_inner
@@ -65,15 +60,15 @@ class MomentMatrix:
     |beta| staircase.  blocks[k - 1], k = 1..d, holds the Laurent
     coefficient -k of the monomials with |beta| >= k restricted to each
     disc: one row per disc, one column per such monomial, the last columns
-    of basis.  basis lists the reduced monomials with a conjugate factor in
-    reduced_basis order, which sorts them by |beta|, so those with
-    |beta| >= k are a suffix of it for every k.  The coefficient -k of a
-    monomial with |beta| < k is zero by construction and is not stored;
-    neither are the holomorphic monomials, whose columns are zero by
-    theorem."""
+    of basis.  basis is the tuple of the reduced monomials with a conjugate
+    factor, the suffix of reduced_basis(d) after the holomorphic ones; that
+    order sorts them by |beta|, so those with |beta| >= k are a suffix of it
+    for every k.  The coefficient -k of a monomial with |beta| < k is zero
+    by construction and is not stored; neither are the holomorphic
+    monomials, whose columns are zero by theorem."""
 
     blocks: list[np.ndarray]
-    basis: list[tuple[int, int, int, int]]
+    basis: tuple[tuple[int, int, int, int], ...]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -119,7 +114,7 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
         raise ValueError("degree must be at least 1")
     if not discs:
         raise ValueError("need at least one disc")
-    basis = [k for k in _reduced_basis(d) if k[2] + k[3] > 0]
+    basis = tuple(k for k in reduced_basis(d) if k[2] + k[3] > 0)
     e = np.array(basis)
     # starts[k - 1]: the number of columns with |beta| < k
     starts = np.searchsorted(e[:, 2] + e[:, 3], np.arange(1, d + 1))
@@ -135,17 +130,16 @@ def build_moment_matrix(d: int, discs: list[StraightDisc]) -> MomentMatrix:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Outcome of a moment-matrix nullspace experiment.  basis is the
-    tuple of the reduced monomials in reduced_basis order that every report
-    of its degree shares, so its first expected_holomorphic_dimension entries
-    are the holomorphic monomials.  The kernel is their coordinate span plus
-    the null vectors of the non-holomorphic block of the moment matrix, over
-    the rest of basis.  A full-rank block has no null vectors (null_vectors
-    has zero columns); its singular values are computed without vectors.
-    The kernel contains the holomorphic span by construction, so
-    max_principal_angle, the angle to the predicted span, is 0.0 except for
-    a single point: the angle to the |alpha| >= |beta| span at the origin,
-    None elsewhere."""
+    """Outcome of a moment-matrix nullspace experiment.  basis is
+    reduced_basis(d), the one tuple that every report of degree d shares, so
+    its first expected_holomorphic_dimension entries are the holomorphic
+    monomials.  The kernel is their coordinate span plus the null vectors of
+    the non-holomorphic block of the moment matrix, over the rest of basis.
+    A full-rank block has no null vectors (null_vectors has zero columns);
+    its singular values are computed without vectors.  The kernel contains
+    the holomorphic span by construction, so max_principal_angle, the angle
+    to the predicted span, is 0.0 except for a single point: the angle to
+    the |alpha| >= |beta| span at the origin, None elsewhere."""
 
     kernel_dimension: int
     expected_holomorphic_dimension: int
@@ -233,7 +227,7 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
     case with null vectors; those of R are those of A, over matrix.basis.
     The kernel contains the holomorphic span by construction, so its angle
     to that span is reported as 0.0.  The report holds the shared basis
-    tuple _reduced_basis(d) and no view of R."""
+    tuple reduced_basis(d) and no view of R."""
     d, ncols = len(matrix.blocks), len(matrix.basis)
     nrows = len(matrix.blocks[0]) * d
     # starts[k - 1]: the number of columns with |beta| < k, k = 1..d + 1
@@ -282,7 +276,7 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
     else:
         # fresh, not a view of R: a report must not keep R alive
         null = np.zeros((ncols, 0), dtype=complex)
-    basis = _reduced_basis(d)
+    basis = reduced_basis(d)
     hdim = len(basis) - ncols
     svals = np.concatenate([svals, np.zeros(hdim)])
     return KernelReport(hdim + ncols - rank, hdim, 0.0, svals, gap, null, basis, config)
@@ -356,7 +350,7 @@ def kernel_experiment(
         # no negative-degree rows exist at degree 0: constants are holomorphic,
         # so nothing is sampled and the points are checked here
         _check_points(points)
-        null, basis = np.zeros((0, 0)), _reduced_basis(0)
+        null, basis = np.zeros((0, 0)), reduced_basis(0)
         report = KernelReport(1, 1, 0.0, np.array([]), float("inf"), null, basis, config)
     else:
         report = run(discs_per_point)

@@ -1,18 +1,15 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disctrace.boundary import (
-    MAX_DEGREE,
-    HermitianPolynomial,
-    _reduced_basis,
-    gram_matrix,
-    reduced_basis,
-)
+from disctrace.boundary import HermitianPolynomial, gram_matrix, reduced_basis
+from disctrace.discs import disc_from_line
 from disctrace.geometry import Complex2
+from disctrace.moments import extendibility_test, extension_value
 from oracles import (
     evaluate,
     holomorphic_basis,
@@ -42,9 +39,21 @@ class TestHermitianPolynomial:
         assert HermitianPolynomial().degree == 0
 
     def test_degree_cap(self):
-        assert HermitianPolynomial({(MAX_DEGREE, 0, 0, 0): 1.0}).degree == 12
-        with pytest.raises(ValueError, match="monomial degree 13 exceeds cap 12"):
-            HermitianPolynomial({(7, 6, 0, 0): 1.0})
+        # the cap of 12 is the CLI's (tests/test_cli.py); the library takes
+        # any degree
+        f = HermitianPolynomial({(13, 0, 0, 0): 1.0})
+        assert f.degree == 13
+        assert HermitianPolynomial({(7, 6, 0, 0): 1.0}).degree == 13
+        # z1^13 is holomorphic: exactly no negative coefficient on a disc,
+        # and its extension value is its value at the disc's point
+        disc = disc_from_line(Complex2(0.3, 0.2j), Complex2(0.6, 0.8))
+        assert extendibility_test(f, disc).max_negative_modulus == 0.0
+        tau = 0.7 * np.exp(0.4j)
+        z = disc.point(tau)
+        r = z.norm()
+        # evaluate takes sphere points; z1^13 is homogeneous of degree 13
+        on_sphere = evaluate(f, Complex2(z.z1 / r, z.z2 / r)) * r**13
+        assert extension_value(f, disc, tau) == pytest.approx(on_sphere, rel=1e-12)
 
     def test_algebra(self):
         f = HermitianPolynomial.monomial((1, 0), (0, 0))
@@ -175,20 +184,24 @@ class TestReducedBasis:
     def test_graded_order(self, d):
         # sorted by |beta| and then lexicographically: the holomorphic
         # monomials are a prefix, and those with |beta| >= k a suffix
-        basis = reduced_basis(d)
+        basis = list(reduced_basis(d))
         assert basis == sorted(basis, key=lambda k: (k[2] + k[3], k))
         assert basis[: (d + 1) * (d + 2) // 2] == holomorphic_basis(d)
 
-    def test_fresh_list_per_call(self):
-        # the basis is built once per degree, but each caller gets its own list
-        assert _reduced_basis(4) is _reduced_basis(4)
-        first = reduced_basis(4)
-        assert isinstance(first, list) and first == list(_reduced_basis(4))
-        first[0] = (7, 7, 7, 7)
-        first.append((9, 9, 9, 9))
-        again = reduced_basis(4)
-        assert len(again) == 55 and again[0] == (0, 0, 0, 0)
-        assert again == list(_reduced_basis(4))
+    def test_one_tuple_per_degree(self):
+        # built once per degree and shared: immutable, so no caller can
+        # change what another reads
+        basis = reduced_basis(4)
+        assert isinstance(basis, tuple) and len(basis) == 55
+        assert reduced_basis(4) is basis
+
+    @pytest.mark.parametrize("d", [13, 16])
+    def test_past_the_cli_cap(self, d):
+        # the monomials of degree <= d less those with z1 conj(z1) as a
+        # factor, which are z1 conj(z1) times a monomial of degree <= d - 2
+        basis = list(reduced_basis(d))
+        assert len(basis) == comb(d + 4, 4) - comb(d + 2, 4)
+        assert basis == sorted(basis, key=lambda k: (k[2] + k[3], k))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

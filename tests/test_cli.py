@@ -5,8 +5,8 @@ import os
 import pytest
 
 from disctrace import cli
-from disctrace.boundary import MAX_DEGREE, HermitianPolynomial, reduced_basis
-from disctrace.cli import UsageError, format_point, main, parse_point
+from disctrace.boundary import HermitianPolynomial, reduced_basis
+from disctrace.cli import MAX_DEGREE, UsageError, format_point, main, parse_point
 from disctrace.errors import NotExtendible
 from disctrace.geometry import Complex2
 
@@ -453,14 +453,34 @@ class TestUsageErrors:
         self.assert_usage_error([*argv, "--discs", "100001"], capsys)
 
     def test_function_above_degree_cap(self, tmp_path, capsys):
-        path = tmp_path / "deg13.json"
-        path.write_text(json.dumps(
-            {"terms": [{"alpha": [13, 0], "beta": [0, 0], "re": 1.0, "im": 0.0}]}
-        ))
-        self.assert_usage_error(
-            ["test", "--function", str(path), "--point", "0.3,0.2",
-             "--discs", "4"], capsys,
-        )
+        # the cap is the CLI's: the message names the highest degree, and a
+        # fault in the form of a term comes first
+        def term(alpha, beta, re=1.0):
+            return {"alpha": alpha, "beta": beta, "re": re, "im": 0.0}
+
+        files = {
+            "deg13.json": ([term([13, 0], [0, 0])], "monomial degree 13 exceeds cap 12"),
+            "deg15.json": (
+                [term([13, 0], [0, 0]), term([2, 1], [0, 0]), term([7, 6], [0, 2])],
+                "monomial degree 15 exceeds cap 12",
+            ),
+            "nan.json": (
+                [term([13, 0], [0, 0]), term([2, 1], [0, 0], float("nan"))],
+                "coefficients must be finite",
+            ),
+        }
+        for name, (terms, message) in files.items():
+            path = tmp_path / name
+            path.write_text(json.dumps({"terms": terms}))
+            for argv in (
+                ["test", "--function", str(path), "--point", "0.3,0.2",
+                 "--discs", "4"],
+                ["extend", "--function", str(path), "--points", *SCENE,
+                 "--at", "0.2,0.1", "--discs", "4"],
+            ):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: malformed function file {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["test", "extend"])
     @pytest.mark.parametrize(

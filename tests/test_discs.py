@@ -57,6 +57,10 @@ class TestStraightDisc:
             StraightDisc(Complex2(0.5, 0.0), Complex2(0.0, 1.0))  # norms off
         with pytest.raises(ValueError, match="direction must be nonzero"):
             StraightDisc(Complex2(0.0, 0.0), Complex2(0.0, 0.0))
+        # |a|^2 or |b|^2 overflows: a ValueError, not an OverflowError
+        for a, b in [((1e200, 0), (0, 1)), ((0, 0), (0, 1e200))]:
+            with pytest.raises(ValueError, match=r"^\|a\|\^2 \+ \|b\|\^2 must be 1$"):
+                StraightDisc(Complex2(*a), Complex2(*b))
 
     def test_boundary_on_sphere(self):
         rng = np.random.default_rng(0)
@@ -108,8 +112,10 @@ class TestDiscFromLine:
     def test_huge_coordinates(self):
         # |a|^2 and |v|^2 overflow above about 1.3e154 and used to raise
         # OverflowError
-        with pytest.raises(LineMissesBall):
+        with pytest.raises(LineMissesBall) as exc:
             disc_from_line(Complex2(1e200, 1e200), Complex2(1, 0))
+        # the foot point is (0, 1e200): its distance, not inf
+        assert str(exc.value) == f"line distance to origin {1e200:.6f}"
         # a huge direction spans the same line as a unit one
         p = Complex2(0.1, 0.2j)
         big = disc_from_line(p, Complex2(1e200, 1e200j))

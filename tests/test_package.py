@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import disctrace
 from disctrace import boundary, crlifts, lemmas, moments, verification
 from disctrace.verification import KernelReport
@@ -51,3 +54,28 @@ def test_verification_holds_only_the_kernel_pipeline():
     assert not hasattr(verification, "crlifts")
     assert [name for name in LEMMAS_ONLY if hasattr(verification, name)] == []
     assert [name for name in LEMMAS_ONLY if not hasattr(lemmas, name)] == []
+
+
+def test_degree_cap_is_the_clis_and_cli_uses_public_names():
+    # the cap of --degree and of function files guards outside input only,
+    # so no library module knows it; the source is parsed, not imported
+    src = Path(disctrace.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    defines_cap = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id == "MAX_DEGREE"
+    ]
+    assert defines_cap == ["cli"]
+    private = [
+        alias.name
+        for node in ast.walk(trees["cli"])
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.startswith("disctrace"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -207,7 +207,7 @@ class TestMomentMatrix:
         # of that order, have no negative coefficient
         discs = sample_disc_family(P3, 8, seed=2)
         M = build_moment_matrix(4, discs)
-        assert M.basis == [k for k in reduced_basis(4) if k[2] + k[3] > 0]
+        assert M.basis == reduced_basis(4)[len(holomorphic_basis(4)) :]
         for k in holomorphic_basis(4):
             mono = HermitianPolynomial({k: 1.0})
             for disc in discs:
@@ -311,15 +311,21 @@ class TestKernelExperiment:
                 discs_per_point=5,
             )
 
-    def test_exterior_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_experiment(Complex2(1.5, 0), P2, P3, d=2, discs_per_point=5)
-        # the interior check runs before the collinearity check
-        with pytest.raises(ValueError):
-            kernel_experiment(
-                Complex2(1.5, 0), Complex2(2.0, 0), Complex2(3.0, 0),
-                d=2, discs_per_point=5,
-            )
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [(Complex2(0.0, 1.5),)],
+            [(P1, Complex2(1.5, 0))],
+            # the interior check runs before the collinearity check
+            [(Complex2(1.5, 0), P2, P3),
+             (Complex2(1.5, 0), Complex2(2.0, 0), Complex2(3.0, 0))],
+        ],
+        ids=lambda calls: str(len(calls[0])),
+    )
+    def test_exterior_rejected(self, calls):
+        for points in calls:
+            with pytest.raises(ValueError):
+                kernel_experiment(*points, d=2, discs_per_point=5)
 
     def test_unstable_doubling_names_both_runs(self):
         # at d = 2, one disc per point leaves kernel 8 and two leave 6
@@ -336,11 +342,22 @@ class TestKernelExperiment:
         with pytest.raises(ValueError, match="^need at least one point$"):
             kernel_experiment(d=d, discs_per_point=5)
 
-    def test_degree_zero(self):
-        report = kernel_experiment(P1, P2, P3, d=0, discs_per_point=5)
-        assert report.kernel_dimension == 1
-        assert report.max_principal_angle == 0.0
-        assert report.spectral_gap == float("inf")
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            # off the origin there is no prediction, and no angle, at every degree
+            [((P1,), 0.0), ((P2,), None)],
+            [((P1, P2), 0.0)],
+            [((P1, P2, P3), 0.0)],
+        ],
+        ids=lambda calls: str(len(calls[0][0])),
+    )
+    def test_degree_zero(self, calls):
+        for points, angle in calls:
+            report = kernel_experiment(*points, d=0, discs_per_point=5)
+            assert report.kernel_dimension == 1
+            assert report.max_principal_angle == angle
+            assert report.spectral_gap == float("inf")
 
     @pytest.mark.parametrize("d, n, dim", [(10, 120, 66), (12, 45, 91), (12, 50, 91)])
     def test_high_degree(self, d, n, dim):
@@ -401,14 +418,14 @@ class TestKernelExperiment:
                                check_stability=False)
         r2 = kernel_experiment(P2, d=4, discs_per_point=30, seed=3,
                                check_stability=False)
-        assert r1.basis is r2.basis
-        assert isinstance(r1.basis, tuple) and r1.basis == tuple(reduced_basis(4))
+        assert r1.basis is r2.basis is reduced_basis(4)
         zero = (
             kernel_experiment(P1, P2, P3, d=0, discs_per_point=5,
                               check_stability=False),
             kernel_experiment(P1, P2, P3, d=0, discs_per_point=5),
         )
-        assert zero[0].basis is zero[1].basis == ((0, 0, 0, 0),)
+        assert zero[0].basis is zero[1].basis is reduced_basis(0)
+        assert reduced_basis(0) == ((0, 0, 0, 0),)
 
     def test_kept_reports_retain_no_basis(self):
         # each report used to hold its own list of 285 tuples at d = 8,
@@ -539,25 +556,11 @@ class TestOnePointControl:
         assert got == pytest.approx(angle, abs=1e-7)
 
     def test_predicted_enumeration(self):
+        assert predicted_one_point_kernel(0) == [(0, 0, 0, 0)]
         pred = predicted_one_point_kernel(4)
         assert len(pred) == 32
         assert all(k[0] + k[1] >= k[2] + k[3] for k in pred)
         assert set(holomorphic_basis(4)) <= set(pred)
-
-    def test_degree_zero(self):
-        report = kernel_experiment(P1, d=0, discs_per_point=5, check_stability=False)
-        assert report.kernel_dimension == 1
-        assert len(predicted_one_point_kernel(0)) == 1
-        assert report.max_principal_angle == 0.0
-        # off the origin there is no prediction, and no angle, at every degree
-        report = kernel_experiment(P2, d=0, discs_per_point=5, check_stability=False)
-        assert report.kernel_dimension == 1
-        assert report.max_principal_angle is None
-
-    def test_exterior_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_experiment(Complex2(0.0, 1.5), d=2, discs_per_point=5,
-                              check_stability=False)
 
 
 class TestTwoPointProbe:
@@ -608,17 +611,6 @@ class TestTwoPointProbe:
             with pytest.raises(CollinearPoints, match="^points must be pairwise distinct$"):
                 kernel_experiment(*points, d=2, discs_per_point=5,
                                   check_stability=False)
-
-    def test_degree_zero(self):
-        report = kernel_experiment(P1, P2, d=0, discs_per_point=5,
-                                   check_stability=False)
-        assert report.kernel_dimension == 1
-        assert report.max_principal_angle == 0.0
-
-    def test_exterior_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_experiment(P1, Complex2(1.5, 0), d=2, discs_per_point=5,
-                              check_stability=False)
 
 
 def holomorphic_value(f: HermitianPolynomial, z: Complex2) -> complex:
