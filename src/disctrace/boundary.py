@@ -98,8 +98,21 @@ class HermitianPolynomial:
 
     @staticmethod
     def from_json_dict(doc: dict):
+        """The polynomial of a document {"terms": [term, ...]}, each term an
+        object with the keys alpha, beta, re and im.  A document of another
+        shape raises ValueError naming the check that fails and, for a term,
+        its index from 0."""
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be an object")
+        if not isinstance(doc.get("terms"), list):
+            raise ValueError("terms must be a list")
         terms = {}
-        for t in doc["terms"]:
+        for j, t in enumerate(doc["terms"]):
+            if not isinstance(t, dict):
+                raise ValueError(f"term {j} must be an object")
+            missing = [key for key in ("alpha", "beta", "re", "im") if key not in t]
+            if missing:
+                raise ValueError(f"term {j} lacks {', '.join(missing)}")
             # bool is an int subclass, but JSON true is no exponent
             if not all(
                 isinstance(t[key], list)
@@ -111,8 +124,12 @@ class HermitianPolynomial:
             # JSON true would read as the number 1
             if not all(type(t[key]) in (int, float) for key in ("re", "im")):
                 raise ValueError("re and im must be numbers")
+            try:
+                c = complex(t["re"], t["im"])
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError("coefficients must be finite") from None
             k = (*t["alpha"], *t["beta"])
-            terms[k] = terms.get(k, 0.0) + complex(t["re"], t["im"])
+            terms[k] = terms.get(k, 0.0) + c
         return HermitianPolynomial(terms)
 
     def save(self, path) -> None:

@@ -121,7 +121,7 @@ def _load_function(path: str) -> HermitianPolynomial:
         raise UsageError(f"function file not found: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read function file {path}: {exc.strerror}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed function file {path}: {exc}") from exc
     if f.degree > MAX_DEGREE:
         raise UsageError(

@@ -22,7 +22,7 @@ import numpy as np
 from .boundary import HermitianPolynomial, gram_matrix, reduced_basis
 from .discs import StraightDisc, disc_from_line, disc_through_two_points
 from .errors import CollinearPoints, DegenerateSample
-from .geometry import Complex2, hermitian_inner
+from .geometry import Complex2
 from .moments import _laurent_coefficients, extension_value
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -267,8 +267,7 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
             f"spectral gap {gap:.1f} below {SPECTRAL_GAP_MIN:.0f} "
             f"(rank {rank} of {ncols} columns, {nrows} rows): "
             f"{nrows / ncols:.2f} rows per column of M_nh, which more discs "
-            "per point raise; full rank has needed 1.5 or more at degree <= 2 "
-            "and 2.2 or more at degree 12"
+            "per point raise"
         )
 
     if rank < ncols:
@@ -285,8 +284,12 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
 def _check_points(points) -> None:
     """At least one point (ValueError), all of them interior (ValueError),
     pairwise distinct and, from three points on, not all on one complex
-    line (CollinearPoints): some offset from the first point is at least
-    1e-10 off the complex span of the first offset."""
+    line (CollinearPoints): for the first offset u from the first point and
+    some other offset v, |u1 v2 - u2 v1| / (|u| |v|) >= 1e-10.  That ratio
+    is the sine of the angle between the complex lines of u and v (the
+    Lagrange identity, as in cp1_distance), so scaling the points about the
+    first one leaves the verdict as it is, down to offsets near 1e-162,
+    where the distinctness check underflows."""
     if not points:
         raise ValueError("need at least one point")
     if any(p.norm() >= 1.0 for p in points):
@@ -297,8 +300,9 @@ def _check_points(points) -> None:
         return
     u, *rest = (p - points[0] for p in points[1:])
     for v in rest:
-        t = hermitian_inner(v, u) / u.norm() ** 2
-        if (v - Complex2(t * u.z1, t * u.z2)).norm() >= 1e-10:
+        # divided, not a threshold times |u| |v|: that product underflows to
+        # 0 for offsets near 1e-160, where 0 >= 0 would pass collinear points
+        if abs(u.z1 * v.z2 - u.z2 * v.z1) / u.norm() / v.norm() >= 1e-10:
             return
     count = "three" if len(points) == 3 else len(points)
     raise CollinearPoints(f"the {count} points lie on one complex line")
@@ -308,7 +312,8 @@ def sample_disc_families(points, n: int, seed: int) -> list[list[StraightDisc]]:
     """One disc family per point: family j is sample_disc_family(points[j],
     n, seed + j).  The points must be one or more interior points (ValueError
     otherwise), pairwise distinct and, from three on, not all on one complex
-    line (CollinearPoints otherwise)."""
+    line (CollinearPoints otherwise), an angle test of _check_points that
+    gives the same verdict at any scale of the points."""
     _check_points(points)
     return [sample_disc_family(P, n, seed + j) for j, P in enumerate(points)]
 

@@ -104,6 +104,15 @@ class TestKernelCommand:
                    "--degree", "2", "--discs", "10"])
         assert rc == 2
 
+    def test_general_position_is_scale_free(self, capsys):
+        # the standard scene shrunk by 1e-11 used to be refused as collinear;
+        # its families now see about one point, so the kernel is too large
+        rc = main(["kernel", "--points", "0,0", "1e-11,0", "0,1e-11",
+                   "--degree", "2", "--discs", "10", "--seed", "7", "--json-only"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["kernel_dimension"], doc["holomorphic_dimension"]) == (9, 6)
+
     def test_bad_degree(self):
         assert main(["kernel", "--points", *SCENE, "--degree", "13"]) == 2
         assert main(["kernel", "--points", *SCENE, "--degree", "-1"]) == 2
@@ -302,27 +311,6 @@ class TestNegativeCoordinates:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-class TestDeterminism:
-    def run_all(self, capsys, holo):
-        outputs = []
-        for argv in (
-            ["kernel", "--points", *SCENE, "--degree", "2", "--discs", "15",
-             "--seed", "7", "--json-only"],
-            ["test", "--function", holo, "--point", "0.2,0.1", "--discs", "8",
-             "--seed", "3"],
-            ["extend", "--function", holo, "--points", *SCENE,
-             "--at", "0.2,0.1", "--discs", "8", "--seed", "1"],
-        ):
-            rc = main(argv)
-            captured = capsys.readouterr()
-            outputs.append((rc, captured.out))
-        return outputs
-
-    def test_byte_identical_across_reruns(self, capsys, holomorphic_file):
-        runs = [self.run_all(capsys, holomorphic_file) for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2]
-
-
 class TestUsageErrors:
     """Bad input exits with code 2 and one `error:` line, never a traceback."""
 
@@ -509,6 +497,39 @@ class TestUsageErrors:
                        "--at", "0.2,0.1", "--discs", "4"],
         }[command]
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["test", "extend"])
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ("[]", "the document must be an object"),
+            ("{}", "terms must be a list"),
+            ('{"terms": {}}', "terms must be a list"),
+            ('{"terms": [1]}', "term 0 must be an object"),
+            ('{"terms": [{"alpha": [1, 0], "beta": [0, 0], "re": 1, "im": 0}, '
+             '{"alpha": [2, 0], "beta": [0, 0], "im": 0}]}', "term 1 lacks re"),
+            ('{"terms": [{"alpha": [1, 0], "beta": [0, 0], "re": 1' + "0" * 400
+             + ', "im": 0}]}', "coefficients must be finite"),
+        ],
+        ids=["list", "no-terms", "terms-mapping", "number-term", "no-re", "huge-int"],
+    )
+    def test_function_file_names_its_fault(
+        self, command, document, message, tmp_path, capsys
+    ):
+        # these printed Python's own error text or a traceback, and a mapping
+        # of terms read as the zero function
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        argv = {
+            "test": ["test", "--function", str(path), "--point", "0.3,0.2",
+                     "--discs", "4"],
+            "extend": ["extend", "--function", str(path), "--points", *SCENE,
+                       "--at", "0.2,0.1", "--discs", "4"],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed function file {path}: {message}\n"
+        )
 
     @pytest.mark.parametrize("at", SCENE)
     def test_extend_at_one_of_the_points(self, at, holomorphic_file, capsys):
