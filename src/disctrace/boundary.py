@@ -7,6 +7,9 @@ with min(alpha1, beta1) = 0.  Inner products in L^2 of the normalized
 sphere measure are exact:
 
     integral z^a conj(z)^b dsigma = delta_{ab} * a1! a2! / (|a| + 1)!.
+
+So monomials of different charge a - b are orthogonal, and l2_factor builds
+the metric of a basis one charge class at a time.
 """
 
 from __future__ import annotations
@@ -168,16 +171,25 @@ def _monomial_integral(a1: int, a2: int, b1: int, b2: int) -> float:
     return factorial(a1) * factorial(a2) / factorial(a1 + a2 + 1)
 
 
-def gram_matrix(basis: list[MultiIndexPair]) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = <b_j, b_i> of sphere monomials."""
-    e = np.array(basis, dtype=int).reshape(-1, 4)
-    # <b_j, b_i> = integral z^c zbar^d * conj(z^a zbar^b): nonzero iff
-    # c + b = d + a, with value p! q! / (p + q + 1)! at (p, q) = c + b
-    p = e[None, :, 0] + e[:, None, 2]
-    q = e[None, :, 1] + e[:, None, 3]
-    match = (p == e[None, :, 2] + e[:, None, 0]) & (q == e[None, :, 3] + e[:, None, 1])
-    top = int(max(p.max(initial=0), q.max(initial=0)))
-    table = np.array(
-        [[_monomial_integral(i, j, i, j) for j in range(top + 1)] for i in range(top + 1)]
-    )
-    return np.where(match, table[p, q], 0.0).astype(complex)
+def l2_factor(basis: list[MultiIndexPair]) -> np.ndarray:
+    """Real F with F^T F = G, where G[i, j] = <b_j, b_i> is the Gram matrix
+    of the sphere monomials basis.
+
+    Monomials of different charge (alpha1 - beta1, alpha2 - beta2) are
+    L2-orthogonal, so G is block-diagonal by charge class: F holds the
+    transposed Cholesky factor of each class's own Gram matrix at that
+    class's positions, in basis order.  So F is upper triangular with a
+    positive diagonal, and F^T is the Cholesky factor of G, found without
+    forming G or factoring it whole."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, (a1, a2, b1, b2) in enumerate(basis):
+        classes.setdefault((a1 - b1, a2 - b2), []).append(i)
+    F = np.zeros((len(basis), len(basis)))
+    for idx in classes.values():
+        # <b_j, b_i> = integral z^(alpha_j + beta_i) conj(z)^(beta_j + alpha_i),
+        # and within a class both exponents are p[i, j] = alpha_j + beta_i
+        m = np.array([basis[i] for i in idx])
+        p = m[None, :, :2] + m[:, None, 2:]
+        G = [[_monomial_integral(*q, *q) for q in row] for row in p.tolist()]
+        F[np.ix_(idx, idx)] = np.linalg.cholesky(G).T
+    return F

@@ -102,11 +102,17 @@ def disc_through_two_points(p: Complex2, q: Complex2):
     """Disc through p and q with its parameters: (disc, tau_p, tau_q).
 
     At least one point must be interior; a second point on the sphere gets
-    |tau| = 1.
+    |tau| = 1.  Equal points, and distinct points whose difference has a
+    norm that underflows to 0, raise CollinearPoints, each with its own
+    message.
     """
     dv = q - p
     if dv.norm() == 0:
-        raise CollinearPoints("disc through two points needs distinct points")
+        raise CollinearPoints(
+            "disc through two points needs distinct points" if p == q else
+            "disc through two points needs points farther apart: their "
+            "difference underflows"
+        )
     if min(p.norm(), q.norm()) >= 1.0 - _BOUNDARY_TOL:
         raise LineMissesBall("at least one of the points must be interior")
     disc = disc_from_line(p, dv)

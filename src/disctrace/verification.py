@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boundary import HermitianPolynomial, gram_matrix, reduced_basis
+from .boundary import HermitianPolynomial, l2_factor, reduced_basis
 from .discs import StraightDisc, disc_from_line, disc_through_two_points
 from .errors import CollinearPoints, DegenerateSample
 from .geometry import Complex2
@@ -176,17 +176,18 @@ def _max_angle_to_coordinate_span(report: KernelReport, members) -> float:
     """Largest L2 principal angle between the kernel of report and the
     coordinate span of the multi-indices members, over report.basis.
 
-    With G = L L^H the Gram matrix of the basis, L^H maps coefficient
-    vectors isometrically into C^N, and the coordinate span maps to a
-    column selection of L^H.  Let Q_s and Q_l be orthonormal bases of the
-    smaller and the larger image: the 2-norm of the residual
-    Q_s - Q_l Q_l^H Q_s is the sine of the largest of the min(dim)
-    principal angles.  The sine stays accurate for small angles, where
-    arccos of a cosine near 1 loses half the digits.
+    With F = l2_factor(report.basis), the real factor of the Gram matrix
+    G = F^T F built one charge class at a time, F maps coefficient vectors
+    isometrically into C^N, and the coordinate span maps to a column
+    selection of F.  Let Q_s and Q_l be orthonormal bases of the smaller
+    and the larger image: the 2-norm of the residual Q_s - Q_l Q_l^H Q_s is
+    the sine of the largest of the min(dim) principal angles.  The sine
+    stays accurate for small angles, where arccos of a cosine near 1 loses
+    half the digits.
     """
-    Lh = np.linalg.cholesky(gram_matrix(report.basis)).conj().T
+    F = l2_factor(report.basis)
     pos = {k: i for i, k in enumerate(report.basis)}
-    images = (Lh @ report.kernel_basis, Lh[:, [pos[k] for k in members]])
+    images = (F @ report.kernel_basis, F[:, [pos[k] for k in members]])
     Qs, Ql = (np.linalg.qr(M)[0] for M in sorted(images, key=lambda M: M.shape[1]))
     sine = np.linalg.norm(Qs - Ql @ (Ql.conj().T @ Qs), 2)
     return float(np.arcsin(min(1.0, sine)))
@@ -199,7 +200,9 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
     M_nh sits at the largest ratio between consecutive singular values of
     the row-normalized M_nh, floored at eps * s_0 with the floor appended
     (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998), so full
-    rank is decided by s_min / floor and no cutoff is set by the user.
+    rank is decided by s_min / floor and no cutoff is set by the user.  A
+    largest ratio below SPECTRAL_GAP_MIN, or two or more ratios that reach
+    it, raise DegenerateSample naming the ranks, columns and rows.
 
     The singular values come from a square R with R^H R = A^H A, A the
     row-normalized M_nh, whose columns are sorted by |beta|.  A degree-k row
@@ -269,6 +272,13 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
             f"{nrows / ncols:.2f} rows per column of M_nh, which more discs "
             "per point raise"
         )
+    gated = [i + 1 for i, r in enumerate(ratios.tolist()) if r >= SPECTRAL_GAP_MIN]
+    if len(gated) > 1:
+        raise DegenerateSample(
+            f"spectral gaps of at least {SPECTRAL_GAP_MIN:.0f} at ranks "
+            f"{', '.join(map(str, gated[:-1]))} and {gated[-1]} "
+            f"({ncols} columns, {nrows} rows): no one rank stands out"
+        )
 
     if rank < ncols:
         null = np.linalg.svd(R)[2][rank:].conj().T
@@ -283,19 +293,26 @@ def _nullspace_report(matrix: MomentMatrix, config: dict) -> KernelReport:
 
 def _check_points(points) -> None:
     """At least one point (ValueError), all of them interior (ValueError),
-    pairwise distinct and, from three points on, not all on one complex
-    line (CollinearPoints): for the first offset u from the first point and
-    some other offset v, |u1 v2 - u2 v1| / (|u| |v|) >= 1e-10.  That ratio
-    is the sine of the angle between the complex lines of u and v (the
-    Lagrange identity, as in cp1_distance), so scaling the points about the
-    first one leaves the verdict as it is, down to offsets near 1e-162,
-    where the distinctness check underflows."""
+    pairwise distinct, with no difference whose norm underflows to 0, and,
+    from three points on, not all on one complex line (CollinearPoints,
+    whose message tells equal points from too near ones): for the first
+    offset u from the first point and some other offset v,
+    |u1 v2 - u2 v1| / (|u| |v|) >= 1e-10.  That ratio is the sine of the
+    angle between the complex lines of u and v (the Lagrange identity, as
+    in cp1_distance), so scaling the points about the first one leaves the
+    verdict as it is, down to offsets near 1e-162, where the points become
+    too near to tell apart."""
     if not points:
         raise ValueError("need at least one point")
     if any(p.norm() >= 1.0 for p in points):
         raise ValueError("points must be interior")
-    if any((p - q).norm() == 0 for i, p in enumerate(points) for q in points[:i]):
-        raise CollinearPoints("points must be pairwise distinct")
+    for i, p in enumerate(points):
+        for q in points[:i]:
+            if (p - q).norm() == 0:
+                raise CollinearPoints(
+                    "points must be pairwise distinct" if p == q else
+                    "points too near to tell apart: their difference underflows"
+                )
     if len(points) < 3:
         return
     u, *rest = (p - points[0] for p in points[1:])

@@ -2,7 +2,7 @@
 
 None of these runs in the library: the pipeline restricts polynomials to
 disc boundaries through one function (moments._laurent_coefficients), takes
-inner products through the Gram matrix (boundary.gram_matrix) and lift
+the L^2 metric from its factor by charge class (boundary.l2_factor) and lift
 classes through discs.lift.  The oracles do the same work the slow, plain
 way:
 

@@ -18,11 +18,7 @@ import numpy as np
 import pytest
 
 from disctrace import crlifts
-from disctrace.boundary import (
-    HermitianPolynomial,
-    gram_matrix,
-    reduced_basis,
-)
+from disctrace.boundary import HermitianPolynomial, l2_factor, reduced_basis
 from disctrace.cli import main
 from disctrace.discs import (
     boundary_point,
@@ -397,8 +393,9 @@ def test_criterion_8_exactness_oracles(capsys):
             abs(sphere_inner_product(f, g) - hopf_quadrature_inner(f, g)),
         )
 
-    G = gram_matrix(keys4)
-    lam_min = float(np.min(np.linalg.eigvalsh(G)))
+    # G = F^T F, so the smallest eigenvalue of G is the square of F's
+    # smallest singular value
+    lam_min = float(np.linalg.svd(l2_factor(keys4), compute_uv=False)[-1] ** 2)
     ok = fft_err < 1e-12 and quad_err < 1e-6 and len(keys4) == 55 and lam_min > 0
     report(
         capsys, 8, ok,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disctrace.boundary import HermitianPolynomial, gram_matrix, reduced_basis
+from disctrace.boundary import HermitianPolynomial, l2_factor, reduced_basis
 from disctrace.discs import disc_from_line
 from disctrace.geometry import Complex2
 from disctrace.moments import extendibility_test, extension_value
@@ -246,21 +246,37 @@ class TestInnerProduct:
             assert abs(exact - quad) < 1e-6
 
 
-class TestGram:
-    def test_positive_definite(self):
-        G = gram_matrix(reduced_basis(4))
-        assert np.linalg.norm(G - G.conj().T) < 1e-14
-        assert np.min(np.linalg.eigvalsh(G)) > 0
+def oracle_gram(basis) -> np.ndarray:
+    """G[i, j] = <b_j, b_i> from the term-by-term inner product."""
+    monomials = [HermitianPolynomial({k: 1.0}) for k in basis]
+    return np.array([[sphere_inner_product(fj, fi) for fj in monomials]
+                     for fi in monomials])
 
-    def test_entries(self):
-        # bit-identical to the exact inner product, entry by entry
-        basis = reduced_basis(3)
-        G = gram_matrix(basis)
-        for i, ki in enumerate(basis):
-            fi = HermitianPolynomial({ki: 1.0})
-            for j, kj in enumerate(basis):
-                fj = HermitianPolynomial({kj: 1.0})
-                assert G[i, j] == sphere_inner_product(fj, fi)
+
+class TestL2Factor:
+    @pytest.mark.parametrize("d", [0, 3, 8])
+    def test_is_the_dense_cholesky_factor(self, d):
+        basis = reduced_basis(d)
+        G, F = oracle_gram(basis), l2_factor(basis)
+        assert F.dtype == float
+        # upper triangular, exactly, with a positive diagonal: F^T F is
+        # positive definite, and F^T is the unique Cholesky factor of G
+        assert np.all(np.tril(F, -1) == 0)
+        assert np.all(np.diag(F) > 0)
+        assert np.abs(F.T @ F - G).max() <= 1e-15
+        assert np.abs(F - np.linalg.cholesky(G).conj().T).max() <= 1e-14
+
+    def test_blocks_by_charge_class_at_degree_12(self):
+        basis = reduced_basis(12)
+        F = l2_factor(basis)
+        charge = np.array([(a1 - b1, a2 - b2) for a1, a2, b1, b2 in basis])
+        same = (charge[:, None] == charge[None, :]).all(axis=2)
+        assert np.all(F[~same] == 0)
+        for c in np.unique(charge, axis=0):
+            idx = np.flatnonzero((charge == c).all(axis=1))
+            block = F[np.ix_(idx, idx)]
+            G = oracle_gram([basis[i] for i in idx])
+            assert np.abs(block.T @ block - G).max() <= 1e-15
 
 
 class TestHolomorphicDefect:

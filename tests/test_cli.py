@@ -106,12 +106,15 @@ class TestKernelCommand:
 
     def test_general_position_is_scale_free(self, capsys):
         # the standard scene shrunk by 1e-11 used to be refused as collinear;
-        # its families now see about one point, so the kernel is too large
+        # its families see about one point, so its singular values jump
+        # twice: below the five that one point gives, and at the floor
         rc = main(["kernel", "--points", "0,0", "1e-11,0", "0,1e-11",
                    "--degree", "2", "--discs", "10", "--seed", "7", "--json-only"])
         assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert (doc["kernel_dimension"], doc["holomorphic_dimension"]) == (9, 6)
+        assert capsys.readouterr().err == (
+            "verification failed: spectral gaps of at least 1000 at ranks 5 and 8 "
+            "(8 columns, 60 rows): no one rank stands out\n"
+        )
 
     def test_bad_degree(self):
         assert main(["kernel", "--points", *SCENE, "--degree", "13"]) == 2
@@ -347,6 +350,22 @@ class TestUsageErrors:
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: points must be pairwise distinct\n"
+
+    @pytest.mark.parametrize("command", ["kernel", "extend"])
+    def test_too_near_points_are_not_called_equal(self, command, holomorphic_file,
+                                                 capsys):
+        # distinct points whose difference underflows: |z|^2 of 1e-163 is 0
+        argv, message = {
+            "kernel": (["kernel", "--points", "0,0", "1e-163,0", "0,1e-163",
+                        "--degree", "2", "--discs", "10", "--seed", "7"],
+                       "points too near to tell apart: their difference underflows"),
+            "extend": (["extend", "--function", holomorphic_file, "--points", *SCENE,
+                        "--at", "1e-200,0", "--discs", "4"],
+                       "disc through two points needs points farther apart: their "
+                       "difference underflows"),
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("bad", ["1,0", "0.8,0.6", "2,0"])
     def test_kernel_exterior_point(self, bad, capsys):

@@ -4,11 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from disctrace.boundary import (
-    HermitianPolynomial,
-    gram_matrix,
-    reduced_basis,
-)
+from disctrace.boundary import HermitianPolynomial, l2_factor, reduced_basis
 from disctrace.errors import CollinearPoints, DegenerateSample, NotExtendible
 from disctrace.geometry import Complex2
 from disctrace import verification
@@ -67,14 +63,14 @@ def _angle_to_holomorphic_span(report) -> float:
 
 @pytest.fixture
 def gram_calls(monkeypatch):
-    """Basis sizes of the verification.gram_matrix calls made in the test."""
+    """Basis sizes of the verification.l2_factor calls made in the test."""
     calls = []
 
     def counting(basis):
         calls.append(len(basis))
-        return gram_matrix(basis)
+        return l2_factor(basis)
 
-    monkeypatch.setattr(verification, "gram_matrix", counting)
+    monkeypatch.setattr(verification, "l2_factor", counting)
     return calls
 
 
@@ -417,6 +413,17 @@ class TestKernelExperiment:
         assert m is not None, str(info.value)
         assert float(m[1]) < 1e3
 
+    def test_two_gaps_name_both_ranks(self):
+        # a triangle of side 1e-11: the largest ratio (rank 5) would read a
+        # one-point kernel, yet full rank (8) clears the gate too
+        points = (P1, Complex2(1e-11, 0), Complex2(0, 1e-11))
+        with pytest.raises(DegenerateSample, match=re.escape(
+            "spectral gaps of at least 1000 at ranks 5 and 8 (8 columns, 60 rows): "
+            "no one rank stands out"
+        )):
+            kernel_experiment(*points, d=2, discs_per_point=10, seed=7,
+                              check_stability=False)
+
     def test_full_rank_skips_the_angle(self, gram_calls):
         report = kernel_experiment(P1, P2, P3, d=4, discs_per_point=60, seed=7)
         assert report.kernel_dimension == 15
@@ -597,7 +604,7 @@ class TestTwoPointProbe:
     @pytest.mark.parametrize("d, n, dim", [(3, 1, 24), (4, 3, 32), (6, 4, 93)])
     def test_rank_short_angle_is_zero_by_construction(self, d, n, dim, gram_calls):
         # null vectors exist, yet the kernel holds the holomorphic coordinate
-        # directions by construction: the angle is reported without a Gram matrix
+        # directions by construction: the angle is reported without the L2 factor
         report = kernel_experiment(Complex2(0.1, 0.05j), P2, d=d, discs_per_point=n,
                                    seed=7, check_stability=False)
         assert report.kernel_dimension == dim
