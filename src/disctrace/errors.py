@@ -26,8 +26,9 @@ class NotExtendible(DiscTraceError):
 
 
 class CollinearPoints(DiscTraceError):
-    """The points are not in general position: two of them coincide, or
-    three or more all lie on one complex line."""
+    """The points are not in general position: two of them coincide or are
+    too near to tell apart, or three or more all lie on one complex
+    line."""
 
 
 class DegenerateSample(DiscTraceError):
